@@ -2,7 +2,7 @@
 # full build, test suite, and static verification of the example
 # kernels (examples/kernels/dune).
 
-.PHONY: all build test check fuzz-smoke search-smoke reuse-smoke bench-json perf-guard corpus-smoke corpus-bench corpus-guard exec-smoke exec-bench exec-guard clean
+.PHONY: all build test check fuzz-smoke serve-smoke search-smoke reuse-smoke bench-json perf-guard corpus-smoke corpus-bench corpus-guard exec-smoke exec-bench exec-guard inlbench-smoke clean
 
 all: build
 
@@ -123,6 +123,13 @@ corpus-bench:
 # degradation tags drift from the committed BENCH_corpus.json.
 corpus-guard:
 	dune build @corpus-guard
+
+# End-to-end benchmark smoke (inlbench/README.md): one short pass of
+# every workload, failing if the deterministic digest — winners, miss
+# counts, solver calls, plans, DOALL counts — drifts from the pinned
+# inlbench/smoke.digest.
+inlbench-smoke:
+	bash inlbench/run.sh --smoke
 
 clean:
 	dune clean

@@ -8,7 +8,7 @@
    12), code generation from the completed matrix, and translation
    validation of the generated program.  The workload renders every
    result into a byte buffer; the benchmark runs it under each
-   configuration (cache off / on, jobs 1 / n) and fails loudly if any
+   configuration (memos off / on, jobs 1 / n) and fails loudly if any
    two configurations disagree on a single byte — speed that changes
    answers is not speed.
 
@@ -21,7 +21,7 @@ module Mat = Inl.Mat
 module Vec = Inl.Vec
 module Pool = Inl.Pool
 module Omega = Inl.Omega
-module Cache = Inl.Cache
+module Memo = Inl_diag.Memo
 
 let iterations = ref 24
 let out_path = ref ""
@@ -75,18 +75,18 @@ type outcome = {
 
 let run_config (c : config) : outcome =
   Pool.set_jobs c.jobs;
-  Omega.set_cache_enabled c.cache;
-  Omega.clear_cache ();
+  Memo.set_all_enabled c.cache;
+  Memo.clear_all ();
   Omega.reset_solver_calls ();
   Inl.Stats.reset ();
-  (* two passes, best wall time: suppresses scheduler noise; the cache is
-     cleared once per configuration, so for cache-on configs the second
-     pass measures the steady state the first pass built *)
+  (* two passes, best wall time: suppresses scheduler noise; the memos
+     are cleared once per configuration, so for cache-on configs the
+     second pass measures the steady state the first pass built *)
   let t0 = Unix.gettimeofday () in
   let output = workload () in
   let pass1 = Unix.gettimeofday () -. t0 in
   let sat, proj = Omega.solver_calls () in
-  let rate = Cache.hit_rate (Omega.cache_stats ()) in
+  let rate = Memo.hit_rate (Omega.cache_stats ()) in
   let t1 = Unix.gettimeofday () in
   let output2 = workload () in
   let pass2 = Unix.gettimeofday () -. t1 in

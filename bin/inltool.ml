@@ -18,8 +18,8 @@
    succeeded).  Resource budgets and fault injection are controlled by
    --budget / INL_FM_BUDGET and --inject-faults / INL_FAULTS; the solver
    core is tuned by --jobs / INL_JOBS (worker domains), --no-cache
-   (disable projection memoization) and --stats (report solver calls,
-   cache hit rate and per-phase wall time to stderr). *)
+   (disable every process-wide memo) and --stats (report solver calls,
+   per-memo hit rates and per-phase wall time to stderr). *)
 
 module Interp = Inl_interp.Interp
 module Verify = Inl_verify.Verify
@@ -27,7 +27,7 @@ module Exec = Inl_exec.Exec
 module Cemit = Inl_exec.Cemit
 module Search = Inl_search.Search
 module Reuse = Inl_reuse.Reuse
-module Memo = Inl_reuse.Memo
+module Memo = Inl_diag.Memo
 module Diag = Inl.Diag
 module Budget = Inl.Budget
 module Faults = Inl.Faults
@@ -106,16 +106,20 @@ let no_cache_arg =
     value & flag
     & info [ "no-cache" ]
         ~doc:
-          "Disable the Omega projection cache (memoization of canonicalized solver queries). \
-           Results are identical either way; this exists for benchmarking and debugging.")
+          "Disable every process-wide memo: the Omega projection cache (canonicalized solver \
+           queries) and the legality, reuse-signature, materialization, completion and \
+           simulation memos.  Results are identical either way; this exists for benchmarking \
+           and debugging.")
 
 let stats_arg =
   Arg.(
     value & flag
     & info [ "stats" ]
         ~doc:
-          "After the command, print solver statistics to stderr: solver calls, \
-           projection-cache hit rate, worker domains, and wall time per phase.")
+          "After the command, print solver statistics to stderr: worker domains, solver \
+           calls, one line per process-wide memo (hits, misses, evictions, entries and hit \
+           rate, or $(b,disabled) under $(b,--no-cache)), wall time per phase and the \
+           search counters.")
 
 (* Install budget, parallelism, cache and fault configuration; an
    unparsable fault spec is a driver error.  Returns whether a stats
@@ -125,11 +129,7 @@ let setup budget faults jobs no_cache stats : (bool, Diag.t list) result =
   | None -> Inl.Omega.set_default_budget Budget.default
   | Some n -> Inl.Omega.set_default_budget (Budget.with_fm_work Budget.default n));
   (match jobs with None -> () | Some n -> Inl.Pool.set_jobs n);
-  Inl.Omega.set_cache_enabled (not no_cache);
-  Reuse.set_memo_enabled (not no_cache);
-  Search.set_trace_cache_enabled (not no_cache);
-  Inl.Legality.set_memo_enabled (not no_cache);
-  Search.set_mat_cache_enabled (not no_cache);
+  Memo.set_all_enabled (not no_cache);
   match faults with
   | None ->
       Faults.install Faults.none;
@@ -152,35 +152,13 @@ let report_stats () =
   Printf.eprintf "jobs: %d requested, %d effective (capped at the core count)\n"
     (Inl.Pool.requested_jobs ()) (Inl.Pool.jobs ());
   Printf.eprintf "solver calls: %d satisfiable, %d project\n" sat proj;
-  (if Inl.Omega.cache_enabled () then
-     let cs = Inl.Omega.cache_stats () in
-     Printf.eprintf
-       "projection cache: %d hits, %d misses, %d evictions, %d entries (hit rate %.1f%%)\n"
-       cs.Inl.Cache.hits cs.Inl.Cache.misses cs.Inl.Cache.evictions cs.Inl.Cache.entries
-       (100.0 *. Inl.Cache.hit_rate cs)
-   else Printf.eprintf "projection cache: disabled (--no-cache)\n");
-  (if Reuse.memo_enabled () then begin
-     let ms = Reuse.memo_stats () in
-     Printf.eprintf
-       "reuse memo: %d hits, %d misses, %d evictions, %d entries (hit rate %.1f%%)\n"
-       ms.Memo.hits ms.Memo.misses ms.Memo.evictions ms.Memo.entries
-       (100.0 *. Memo.hit_rate ms);
-     let ts = Search.trace_cache_stats () in
-     Printf.eprintf
-       "trace memo: %d hits, %d misses, %d evictions, %d entries (hit rate %.1f%%)\n"
-       ts.Memo.hits ts.Memo.misses ts.Memo.evictions ts.Memo.entries
-       (100.0 *. Memo.hit_rate ts);
-     let ls = Inl.Legality.memo_stats () in
-     Printf.eprintf
-       "legality memo: %d hits, %d misses, %d evictions, %d entries (hit rate %.1f%%)\n"
-       ls.Memo.hits ls.Memo.misses ls.Memo.evictions ls.Memo.entries
-       (100.0 *. Memo.hit_rate ls);
-     let ps = Search.mat_cache_stats () and cs = Search.completion_cache_stats () in
-     Printf.eprintf
-       "materialize memo: %d hits, %d misses (steps) + %d hits, %d misses (completion)\n"
-       ps.Memo.hits ps.Memo.misses cs.Memo.hits cs.Memo.misses
-   end
-   else Printf.eprintf "reuse/trace/legality/materialize memos: disabled (--no-cache)\n");
+  List.iter
+    (fun (name, on, (s : Memo.stats)) ->
+      if on then
+        Printf.eprintf "%s: %d hits, %d misses, %d evictions, %d entries (hit rate %.1f%%)\n"
+          name s.hits s.misses s.evictions s.entries (100.0 *. Memo.hit_rate s)
+      else Printf.eprintf "%s: disabled (--no-cache)\n" name)
+    (Memo.all_stats ());
   List.iter
     (fun (phase, wall, calls) ->
       Printf.eprintf "phase %-10s %8.3f s (%d call%s)\n" phase wall calls

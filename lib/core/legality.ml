@@ -55,27 +55,42 @@ type dep_verdict = Dep_satisfied | Dep_unsatisfied | Dep_violated of string
    equality are exact. *)
 type dep_key = { k_dep : Dep.t; k_rows : Vec.t list; k_src_precedes : bool }
 
-type cache = { lock : Mutex.t; tbl : (dep_key, dep_verdict) Hashtbl.t }
+module Dep_memo = Memo.Make (struct
+  type t = dep_key
 
-let make_cache () = { lock = Mutex.create (); tbl = Hashtbl.create 256 }
+  (* [compare], not [( = )]: it skips physically shared subterms, and
+     every key of one dependence shares its [k_dep] *)
+  let equal a b = compare a b = 0
+
+  (* The rows are hashed entry by entry: [Hashtbl.hash] of the whole key
+     exhausts its budget of meaningful words inside [k_dep], so every key
+     of one dependence would share a bucket. *)
+  let hash k =
+    List.fold_left
+      (fun h row -> Array.fold_left (fun h x -> (h * 31) + Hashtbl.hash x) h row)
+      (Hashtbl.hash (k.k_dep, k.k_src_precedes))
+      k.k_rows
+end)
+
+type cache = dep_verdict Dep_memo.t
+
+(* Unnamed, so outside the registry and untouched by --no-cache, and
+   unbounded: it dies with its search. *)
+let make_cache () = Dep_memo.create ~max_entries:max_int ()
 
 (* ---- the process-wide verdict memo ----
 
-   Second lookup tier behind the per-search [cache]: a two-generation
-   table mirroring the Omega projection cache, keyed on a string
-   rendering of exactly what [classify_key] reads — the dependence (its
-   endpoints, kind, level and interval vector) and the candidate's rows
-   at the new positions of the dependence's common loops, plus the
-   transformed syntactic order.  A per-search cache dies with its search;
-   this table survives across searches and passes, so a re-search of a
-   known program classifies by lookup.  Verdict strings are deterministic
-   functions of the key, so sharing across worker domains preserves the
-   byte-identity contract. *)
+   Second lookup tier behind the per-search [cache]: a named memo keyed
+   on a string rendering of exactly what [classify_key] reads — the
+   dependence (its endpoints, kind, level and interval vector) and the
+   candidate's rows at the new positions of the dependence's common
+   loops, plus the transformed syntactic order.  A per-search cache dies
+   with its search; this table survives across searches and passes, so a
+   re-search of a known program classifies by lookup.  Verdict strings
+   are deterministic functions of the key, so sharing across worker
+   domains preserves the byte-identity contract. *)
 
-let verdict_memo : dep_verdict Memo.t = Memo.create ~max_entries:8192 ()
-
-let set_memo_enabled b = Memo.set_enabled verdict_memo b
-let memo_enabled () = Memo.enabled verdict_memo
+let verdict_memo : dep_verdict Memo.t = Memo.create ~name:"legality memo" ~max_entries:8192 ()
 let memo_stats () = Memo.stats verdict_memo
 let clear_memo () = Memo.clear verdict_memo
 
@@ -157,16 +172,7 @@ let classify_cached ?cache ?id (key : dep_key) : dep_verdict =
         Memo.memo verdict_memo (memo_key ~id key.k_rows key.k_src_precedes) (fun () ->
             classify_key key)
   in
-  match cache with
-  | None -> compute ()
-  | Some c ->
-      Mutex.protect c.lock (fun () ->
-          match Hashtbl.find_opt c.tbl key with
-          | Some v -> v
-          | None ->
-              let v = compute () in
-              Hashtbl.add c.tbl key v;
-              v)
+  match cache with None -> compute () | Some c -> Dep_memo.memo c key compute
 
 let classify_dep ?cache ?id (layout : Layout.t) (structure : Blockstruct.t) (m : Mat.t)
     (d : Dep.t) : dep_verdict =

@@ -90,14 +90,11 @@ val check_env : ?cache:cache -> ?parent:summary -> env -> Mat.t -> verdict * sum
 
 (** {1 Process-wide verdict memo}
 
-    Two-generation table mirroring the Omega projection cache, keyed on
-    a canonical string of exactly what a verdict reads (dependence id,
-    common-loop rows outer-to-inner, transformed endpoint order).  It
-    survives across searches and passes, so a re-search of a known
-    program classifies dependences by lookup. *)
-
-val set_memo_enabled : bool -> unit
-val memo_enabled : unit -> bool
+    The {!Inl_diag.Memo} table ["legality memo"], keyed on a canonical
+    string of exactly what a verdict reads (dependence id, common-loop
+    rows outer-to-inner, transformed endpoint order).  It survives across
+    searches and passes, so a re-search of a known program classifies
+    dependences by lookup. *)
 
 val memo_stats : unit -> Inl_diag.Memo.stats
 (** Hits/misses/evictions/entries of the process-wide verdict memo. *)

@@ -121,11 +121,7 @@ let load_checkpoint cfg =
    measures the kernel itself (not batch history), and a resumed run
    reproduces the remaining records byte-identically.  This also makes
    the retry rung independent of wherever the first attempt died. *)
-let clear_process_state () =
-  Omega.clear_cache ();
-  Inl.Legality.clear_memo ();
-  Reuse.clear_memo ();
-  Search.clear_process_memos ()
+let clear_process_state () = Inl_diag.Memo.clear_all ()
 
 type attempt_result =
   | Ran of Search.outcome

@@ -1,5 +1,7 @@
 module Budget = Inl_diag.Budget
 
+type stats = Inl_diag.Memo.stats = { hits : int; misses : int; evictions : int; entries : int }
+
 module Key = struct
   type t = { sys : System.t; kept : string list; budget : Budget.t }
 
@@ -16,115 +18,4 @@ module Key = struct
     (h * 31) + Hashtbl.hash k.budget
 end
 
-module H = Hashtbl.Make (Key)
-
-(* Two-generation (S3-FIFO-ish) eviction: inserts go to [young]; when
-   [young] fills, it becomes [old] and the previous [old] is discarded.
-   A hit in [old] promotes the entry back to [young].  Entries therefore
-   survive at least one and at most two generations without a hit, with
-   O(1) worst-case maintenance — no LRU list to rebalance under the lock. *)
-type t = {
-  mutable young : System.t list H.t;
-  mutable old : System.t list H.t;
-  capacity : int;
-  lock : Mutex.t;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  evictions : int Atomic.t;
-}
-
-type stats = { hits : int; misses : int; evictions : int; entries : int }
-
-let create ?(max_entries = 4096) () =
-  let capacity = max 1 max_entries in
-  {
-    young = H.create 256;
-    old = H.create 256;
-    capacity;
-    lock = Mutex.create ();
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    evictions = Atomic.make 0;
-  }
-
-let key ~sys ~kept ~budget = { Key.sys; kept; budget }
-
-let find t ~sys ~kept ~budget =
-  let k = key ~sys ~kept ~budget in
-  Mutex.protect t.lock (fun () ->
-      match H.find_opt t.young k with
-      | Some v ->
-          Atomic.incr t.hits;
-          Some v
-      | None -> (
-          match H.find_opt t.old k with
-          | Some v ->
-              H.remove t.old k;
-              H.replace t.young k v;
-              Atomic.incr t.hits;
-              Some v
-          | None ->
-              Atomic.incr t.misses;
-              None))
-
-let add t ~sys ~kept ~budget value =
-  let k = key ~sys ~kept ~budget in
-  Mutex.protect t.lock (fun () ->
-      if H.length t.young >= t.capacity then begin
-        Atomic.set t.evictions (Atomic.get t.evictions + H.length t.old);
-        t.old <- t.young;
-        t.young <- H.create 256
-      end;
-      H.replace t.young k value)
-
-let clear t =
-  Mutex.protect t.lock (fun () ->
-      H.reset t.young;
-      H.reset t.old;
-      Atomic.set t.hits 0;
-      Atomic.set t.misses 0;
-      Atomic.set t.evictions 0)
-
-let stats t =
-  Mutex.protect t.lock (fun () ->
-      {
-        hits = Atomic.get t.hits;
-        misses = Atomic.get t.misses;
-        evictions = Atomic.get t.evictions;
-        entries = H.length t.young + H.length t.old;
-      })
-
-let hit_rate s =
-  let total = s.hits + s.misses in
-  if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total
-
-(* Snapshot/restore for the serve daemon.  Entries are dumped as a
-   marshalled (key, value) array — every type reachable from a key or
-   value (systems, constraints, linexprs, bignum limbs, budgets) is
-   plain immutable data, so [Marshal] round-trips it exactly.  The old
-   generation is emitted first and the young one second: import re-adds
-   in order, so after a restore the young table holds what was young at
-   export time and recency survives the round trip approximately.
-   Robustness is the *caller's* problem by design: [import] never trusts
-   the payload (a truncated or doctored string fails inside Marshal or
-   the array check) and returns the count actually re-added. *)
-
-type dump_entry = Key.t * System.t list
-
-let export t : string =
-  let entries =
-    Mutex.protect t.lock (fun () ->
-        let take tbl = H.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-        Array.of_list (take t.old @ take t.young))
-  in
-  Marshal.to_string (entries : dump_entry array) []
-
-let import t payload =
-  match (Marshal.from_string payload 0 : dump_entry array) with
-  | exception _ -> Error "unreadable cache dump (truncated or from an incompatible build)"
-  | entries ->
-      Array.iter
-        (fun ((k : Key.t), v) ->
-          add t ~sys:k.Key.sys ~kept:k.Key.kept ~budget:k.Key.budget v)
-        entries;
-      Ok (Array.length entries)
+include Inl_diag.Memo.Make (Key)

@@ -1,4 +1,5 @@
-(** Memoization of Omega projection queries.
+(** Memoization of Omega projection queries: a structural key plus one
+    {!Inl_diag.Memo.Make} instance.
 
     Keys are the {e canonical} constraint system ({!System.canonicalize}:
     gcd-tightened, constant-folded, sorted, deduplicated), the sorted list
@@ -6,48 +7,18 @@
     Including the budget makes a cached value bit-identical to what the
     engine would recompute: a query that would [Blowup] under a smaller
     budget can never hit an entry computed under a larger one.  Failed
-    (raising) projections are never stored.
-
-    The structure is safe for concurrent use from multiple domains — one
-    mutex around a two-generation hash table (inserts fill a young
-    generation; filling it retires the old one, so an entry unused for two
-    generations is evicted in O(1)) — and keeps hit/miss/eviction counters
-    for [inltool --stats]. *)
+    (raising) projections are never stored. *)
 
 module Budget = Inl_diag.Budget
 
-type t
+type stats = Inl_diag.Memo.stats = { hits : int; misses : int; evictions : int; entries : int }
 
-type stats = { hits : int; misses : int; evictions : int; entries : int }
+module Key : sig
+  type t = { sys : System.t; kept : string list; budget : Budget.t }
+  (** [sys] must be canonical and [kept] sorted for hits to occur. *)
 
-val create : ?max_entries:int -> unit -> t
-(** [max_entries] (default 4096, clamped to >= 1) is the size of each
-    generation; resident entries are bounded by twice that. *)
+  val equal : t -> t -> bool
+  val hash : t -> int
+end
 
-val find :
-  t -> sys:System.t -> kept:string list -> budget:Budget.t -> System.t list option
-(** [sys] must be canonical and [kept] sorted for hits to occur. *)
-
-val add :
-  t -> sys:System.t -> kept:string list -> budget:Budget.t -> System.t list -> unit
-
-val clear : t -> unit
-(** Drops all entries and zeroes the counters. *)
-
-val stats : t -> stats
-
-val hit_rate : stats -> float
-(** Hits over lookups; [0.0] when no lookups happened. *)
-
-val export : t -> string
-(** Serialize every resident entry (both generations) to an opaque
-    binary dump — pure data end to end, so the marshalled form
-    round-trips exactly.  Counters are not included: a restored cache
-    starts cold statistically but warm in content. *)
-
-val import : t -> string -> (int, string) result
-(** Re-add the entries of an {!export} dump, returning how many were
-    restored.  Never trusts the payload: a truncated, corrupted or
-    incompatible dump returns [Error] and leaves the cache unchanged
-    (callers wrap dumps in a checksummed container — {!Inl_serve}'s
-    snapshot format — so this is the second line of defense). *)
+include Inl_diag.Memo.S with type key = Key.t

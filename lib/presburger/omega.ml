@@ -20,16 +20,12 @@ type ctx = {
   projections : int Atomic.t;
       (* bounded by [Budget.max_projections] so a pathological analysis
          cannot spin through an unbounded number of cheap projections *)
-  cache : Cache.t option;
 }
 
 (* One shared query cache: canonical keys make entries valid across
    analyses, so sharing maximizes reuse (completion re-checks the same
    dependence systems for every candidate matrix). *)
-let shared_cache = Cache.create ()
-let cache_enabled_flag = Atomic.make true
-let set_cache_enabled b = Atomic.set cache_enabled_flag b
-let cache_enabled () = Atomic.get cache_enabled_flag
+let shared_cache : System.t list Cache.t = Cache.create ~name:"projection cache" ()
 let cache_stats () = Cache.stats shared_cache
 let clear_cache () = Cache.clear shared_cache
 let cache_snapshot () = Cache.export shared_cache
@@ -46,12 +42,11 @@ let reset_solver_calls () =
   Atomic.set sat_calls 0;
   Atomic.set project_calls 0
 
-let new_analysis ?budget ?(use_cache = true) () =
+let new_analysis ?budget () =
   Faults.reset_counters ();
   {
     budget = (match budget with Some b -> b | None -> get_default_budget ());
     projections = Atomic.make 0;
-    cache = (if use_cache && cache_enabled () then Some shared_cache else None);
   }
 
 let wildcard_prefix = "$w"
@@ -381,22 +376,15 @@ let project ?ctx ?budget sys ~keep =
      canonicalization only pre-folds the first.) *)
   match System.canonicalize sys with
   | None -> []
-  | Some csys -> (
-      match ctx.cache with
-      | Some cache when not (Faults.active ()) -> (
-          (* fault injection bypasses the cache entirely: injected
-             failures must fire on their exact schedule, and partial runs
-             under caps must not be masked by earlier successes *)
-          let kept =
-            List.filter (fun v -> keep v && not (is_wildcard v)) (System.vars csys)
-          in
-          match Cache.find cache ~sys:csys ~kept ~budget:ctx.budget with
-          | Some r -> r
-          | None ->
-              let r = project_run ~budget:ctx.budget csys ~keep in
-              Cache.add cache ~sys:csys ~kept ~budget:ctx.budget r;
-              r)
-      | _ -> project_run ~budget:ctx.budget csys ~keep)
+  | Some csys when Faults.active () ->
+      (* fault injection bypasses the cache entirely: injected failures
+         must fire on their exact schedule, and partial runs under caps
+         must not be masked by earlier successes *)
+      project_run ~budget:ctx.budget csys ~keep
+  | Some csys ->
+      let kept = List.filter (fun v -> keep v && not (is_wildcard v)) (System.vars csys) in
+      Cache.memo shared_cache { Cache.Key.sys = csys; kept; budget = ctx.budget } (fun () ->
+          project_run ~budget:ctx.budget csys ~keep)
 
 let satisfiable ?ctx ?budget sys =
   (* with nothing kept, every variable is a victim and equality

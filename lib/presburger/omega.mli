@@ -32,17 +32,14 @@ val get_default_budget : unit -> Budget.t
 type ctx
 (** Per-analysis solver state: the effective budget, the projection
     counter it meters (no longer a process global — a forgotten reset
-    cannot leak consumption into the next run), and the query cache to
-    consult.  A [ctx] is safe to share across worker domains: the counter
-    is atomic and the cache is internally synchronized. *)
+    cannot leak consumption into the next run).  A [ctx] is safe to share
+    across worker domains: the counter is atomic. *)
 
-val new_analysis : ?budget:Budget.t -> ?use_cache:bool -> unit -> ctx
-(** Fresh per-analysis state (budget defaults to the process default,
-    [use_cache] defaults to [true] and is further gated by
-    {!set_cache_enabled}); also resets the fault-injection counters so
-    injected failures are deterministic per run.  Entry points called
-    without [?ctx] run on an ephemeral context, so no global protocol
-    exists to forget. *)
+val new_analysis : ?budget:Budget.t -> unit -> ctx
+(** Fresh per-analysis state (budget defaults to the process default);
+    also resets the fault-injection counters so injected failures are
+    deterministic per run.  Entry points called without [?ctx] run on an
+    ephemeral context, so no global protocol exists to forget. *)
 
 val satisfiable : ?ctx:ctx -> ?budget:Budget.t -> System.t -> bool
 
@@ -69,14 +66,12 @@ val implies : ?ctx:ctx -> ?budget:Budget.t -> System.t -> Constr.t -> bool
 (** {2 Shared query cache and counters}
 
     One process-wide {!Cache.t} keyed on canonical systems, so entries
-    stay valid across analyses.  Fault injection ({!Inl_diag.Faults})
-    bypasses it entirely — injected failures fire on their exact schedule
-    regardless of what is cached. *)
+    stay valid across analyses; registered with {!Inl_diag.Memo} as
+    ["projection cache"], so [--no-cache] switches it off with the other
+    memos.  Fault injection ({!Inl_diag.Faults}) bypasses it entirely —
+    injected failures fire on their exact schedule regardless of what is
+    cached. *)
 
-val set_cache_enabled : bool -> unit
-(** Process-wide kill switch ([--no-cache]); on by default. *)
-
-val cache_enabled : unit -> bool
 val cache_stats : unit -> Cache.stats
 val clear_cache : unit -> unit
 

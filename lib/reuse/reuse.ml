@@ -8,6 +8,7 @@ module Vec = Inl_linalg.Vec
 module Gauss = Inl_linalg.Gauss
 module Layout = Inl_instance.Layout
 module Diag = Inl_diag.Diag
+module Memo = Inl_diag.Memo
 
 type cls = Temporal | Spatial of int | NoReuse | Unknown
 
@@ -140,10 +141,7 @@ let compute ~line_elems ~work_budget (ctx : Inl.context) (st : Inl.Blockstruct.t
 
 (* ---- the process-wide memo ---- *)
 
-let memo : t Memo.t = Memo.create ~max_entries:4096 ()
-
-let set_memo_enabled b = Memo.set_enabled memo b
-let memo_enabled () = Memo.enabled memo
+let memo : t Memo.t = Memo.create ~name:"reuse memo" ~max_entries:4096 ()
 let memo_stats () = Memo.stats memo
 let clear_memo () = Memo.clear memo
 

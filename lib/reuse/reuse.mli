@@ -25,8 +25,8 @@
     negation) of the transformation: locality-equivalent candidates
     collapse onto one signature, which is what lets the search score an
     equivalence class once and simulate one representative per class.
-    Signatures are memoized process-wide ({!Memo}, mirroring the Omega
-    projection cache) keyed on {!Inl.Perstmt.canonical_rows} of every
+    Signatures are memoized process-wide (the {!Inl_diag.Memo} table
+    ["reuse memo"]) keyed on {!Inl.Perstmt.canonical_rows} of every
     [T_S] plus the access matrices, so re-scoring a known class is a
     table lookup from any worker domain.
 
@@ -126,9 +126,7 @@ val truncated_stmts : t -> int
 
 (** {2 The process-wide signature memo} *)
 
-val set_memo_enabled : bool -> unit
-val memo_enabled : unit -> bool
-val memo_stats : unit -> Memo.stats
+val memo_stats : unit -> Inl_diag.Memo.stats
 val clear_memo : unit -> unit
 
 (** {2 The [inltool analyze --reuse] report} *)

@@ -126,37 +126,23 @@ val recipe_line : Tf.t -> string
     ["interchange J,I2; reverse K"] or ["complete row=[0,0,0,1,0,0,0]"];
     ["identity"] for the empty recipe. *)
 
+(** {2 Process-wide memos}
+
+    Five named {!Inl_diag.Memo} tables: ["pipe memo"] (step-prefix
+    materialization), ["complete memo"] (completion results), ["sig
+    memo"] (signature front tier), ["sim memo"] (simulation results) and
+    ["arrays memo"] (measured extents).  Each computes bit-identical
+    values either way, so [--no-cache] ({!Inl_diag.Memo.set_all_enabled})
+    changes no output. *)
+
 val clear_process_memos : unit -> unit
-(** Forget every process-wide search memo (step-prefix materialization,
-    completion results, signature front tier, simulation results,
-    measured extents).  The corpus runner clears them — together with
-    the Omega projection cache and the legality/reuse memos — at each
-    kernel boundary, so per-kernel records are cold-cache measurements
-    independent of batch order and of where a resumed run restarted. *)
+(** Forget the five search memos. *)
 
-val set_trace_cache_enabled : bool -> unit
-(** Enable/disable the process-wide trace-tier memos (simulation results
-    and measured array extents, keyed on rendered program text plus the
-    full simulation geometry).  Results are identical either way —
-    [--no-cache] turns them off together with the Omega projection cache
-    for benchmarking and debugging. *)
+val trace_cache_stats : unit -> Inl_diag.Memo.stats
+(** Counters of the simulation memo. *)
 
-val trace_cache_enabled : unit -> bool
-
-val trace_cache_stats : unit -> Inl_reuse.Memo.stats
-(** Counters of the simulation memo, for [--stats]. *)
-
-val set_mat_cache_enabled : bool -> unit
-(** Enable/disable the process-wide materialization memos: the
-    step-prefix pipeline memo (one composition step per candidate
-    instead of the whole chain) and the completion-result memo.  Both
-    compute bit-identical matrices either way — [--no-cache] turns them
-    off with the other caches. *)
-
-val mat_cache_enabled : unit -> bool
-
-val mat_cache_stats : unit -> Inl_reuse.Memo.stats
+val mat_cache_stats : unit -> Inl_diag.Memo.stats
 (** Counters of the step-prefix pipeline memo. *)
 
-val completion_cache_stats : unit -> Inl_reuse.Memo.stats
+val completion_cache_stats : unit -> Inl_diag.Memo.stats
 (** Counters of the completion-result memo. *)

@@ -19,6 +19,7 @@ module Constr = Inl_presburger.Constr
 module System = Inl_presburger.System
 module Omega = Inl_presburger.Omega
 module Cache = Inl_presburger.Cache
+module Memo = Inl_diag.Memo
 module Pool = Inl_parallel.Pool
 module Px = Inl_kernels.Paper_examples
 module Dep = Inl_depend.Dep
@@ -98,21 +99,20 @@ let simple_sys k =
     [ Constr.ge (le [ (1, "x") ] (-k)); Constr.ge (le [ (-1, "x") ] (k + 5)) ]
 
 let test_cache_counters () =
-  let c = Cache.create ~max_entries:2 () in
+  let c : System.t list Cache.t = Cache.create ~max_entries:2 () in
   let budget = Inl_diag.Budget.default in
-  let kept = [ "x" ] in
-  Alcotest.(check bool) "initial miss" true (Cache.find c ~sys:(simple_sys 0) ~kept ~budget = None);
-  Cache.add c ~sys:(simple_sys 0) ~kept ~budget [ simple_sys 0 ];
-  (match Cache.find c ~sys:(simple_sys 0) ~kept ~budget with
+  let key ?(budget = budget) k = { Cache.Key.sys = simple_sys k; kept = [ "x" ]; budget } in
+  Alcotest.(check bool) "initial miss" true (Cache.find c (key 0) = None);
+  Cache.add c (key 0) [ simple_sys 0 ];
+  (match Cache.find c (key 0) with
   | Some [ s ] -> Alcotest.(check bool) "hit returns stored" true (System.equal s (simple_sys 0))
   | _ -> Alcotest.fail "expected a hit");
   (* same system under a different budget is a different key *)
   let tight = Inl_diag.Budget.with_fm_work budget 7 in
-  Alcotest.(check bool) "budget in key" true
-    (Cache.find c ~sys:(simple_sys 0) ~kept ~budget:tight = None);
+  Alcotest.(check bool) "budget in key" true (Cache.find c (key ~budget:tight 0) = None);
   (* overflow two generations and observe evictions *)
   for k = 1 to 6 do
-    Cache.add c ~sys:(simple_sys k) ~kept ~budget [ simple_sys k ]
+    Cache.add c (key k) [ simple_sys k ]
   done;
   let s = Cache.stats c in
   Alcotest.(check bool) "evictions counted" true (s.Cache.evictions > 0);
@@ -178,15 +178,16 @@ let props =
         let sys = boxed sys in
         let keep v = v = "x" || v = "y" in
         Omega.clear_cache ();
-        let on = Omega.new_analysis ~use_cache:true () in
-        let off = Omega.new_analysis ~use_cache:false () in
+        let ctx = Omega.new_analysis () in
         Omega.reset_fresh_names ();
-        let p_fill = Omega.project ~ctx:on sys ~keep in
-        let p_hit = Omega.project ~ctx:on sys ~keep in
+        let p_fill = Omega.project ~ctx sys ~keep in
+        let p_hit = Omega.project ~ctx sys ~keep in
+        let sat_on = Omega.satisfiable ~ctx sys in
+        Memo.set_all_enabled false;
         Omega.reset_fresh_names ();
-        let p_off = Omega.project ~ctx:off sys ~keep in
-        let sat_on = Omega.satisfiable ~ctx:on sys in
-        let sat_off = Omega.satisfiable ~ctx:off sys in
+        let p_off = Omega.project ~ctx sys ~keep in
+        let sat_off = Omega.satisfiable ~ctx sys in
+        Memo.set_all_enabled true;
         p_fill = p_off && p_hit = p_off && sat_on = sat_off);
   ]
 
@@ -222,14 +223,13 @@ let render_all () =
 
 let test_cache_on_off_byte_equal () =
   let go enabled =
-    Omega.set_cache_enabled enabled;
-    Omega.clear_cache ();
+    Memo.set_all_enabled enabled;
+    Memo.clear_all ();
     render_all ()
   in
   let off = go false in
   let cold = go true in
   let warm = go true in
-  Omega.set_cache_enabled true;
   Alcotest.(check string) "cache off = cache on (cold)" off cold;
   Alcotest.(check string) "cache off = cache on (warm)" off warm
 

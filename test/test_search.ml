@@ -8,6 +8,7 @@
 module Search = Inl_search.Search
 module Moves = Inl_search.Moves
 module Reuse = Inl_reuse.Reuse
+module Memo = Inl_diag.Memo
 module Tf = Inl_fuzz.Tf
 module Gen = Inl_fuzz.Gen
 module Px = Inl_kernels.Paper_examples
@@ -214,28 +215,48 @@ let delta_property =
        QCheck2.Gen.(pair (int_bound 4) (int_bound 23))
        delta_prop)
 
-(* ---- the --no-cache contract for the new memos ---- *)
+(* ---- the --no-cache contract and the memo registry ---- *)
+
+let memo_names =
+  [
+    "projection cache";
+    "legality memo";
+    "reuse memo";
+    "pipe memo";
+    "complete memo";
+    "sig memo";
+    "sim memo";
+    "arrays memo";
+  ]
 
 let test_no_cache_bypasses_memos () =
   let run () = render (Search.optimize ~config:tiny (Inl.analyze (parse Px.cholesky_kji))) in
   let reference = run () in
-  Inl.Legality.set_memo_enabled false;
-  Search.set_mat_cache_enabled false;
+  let lookups () =
+    List.map (fun (name, _, (s : Memo.stats)) -> (name, s.Memo.hits + s.Memo.misses)) (Memo.all_stats ())
+  in
+  Memo.set_all_enabled false;
   Fun.protect
-    ~finally:(fun () ->
-      Inl.Legality.set_memo_enabled true;
-      Search.set_mat_cache_enabled true)
+    ~finally:(fun () -> Memo.set_all_enabled true)
     (fun () ->
-      let lookups (s : Inl_diag.Memo.stats) = s.Inl_diag.Memo.hits + s.Inl_diag.Memo.misses in
-      let l0 = lookups (Inl.Legality.memo_stats ()) in
-      let p0 = lookups (Search.mat_cache_stats ()) in
-      let c0 = lookups (Search.completion_cache_stats ()) in
+      let before = lookups () in
       let off = run () in
       Alcotest.(check string) "identical outcome without the memos" reference off;
-      Alcotest.(check int) "legality memo untouched" l0 (lookups (Inl.Legality.memo_stats ()));
-      Alcotest.(check int) "pipeline memo untouched" p0 (lookups (Search.mat_cache_stats ()));
-      Alcotest.(check int) "completion memo untouched" c0
-        (lookups (Search.completion_cache_stats ())))
+      List.iter
+        (fun (name, n) ->
+          Alcotest.(check int) (name ^ " untouched") n (List.assoc name (lookups ())))
+        before;
+      Alcotest.(check (list string)) "every memo checked" memo_names (List.map fst before))
+
+let test_memo_registry () =
+  ignore (Search.optimize ~config:tiny (Inl.analyze (parse Px.cholesky_kji)));
+  let names () = List.map (fun (name, _, _) -> name) (Memo.all_stats ()) in
+  Alcotest.(check (list string)) "the eight process tables" memo_names (names ());
+  Memo.clear_all ();
+  List.iter
+    (fun (name, _, (s : Memo.stats)) ->
+      Alcotest.(check int) (name ^ " emptied") 0 s.Memo.entries)
+    (Memo.all_stats ())
 
 (* ---- property: every winner is legal, validated, and equivalent ---- *)
 
@@ -290,6 +311,7 @@ let () =
           Alcotest.test_case "deterministic across jobs" `Quick
             test_optimize_deterministic_across_jobs;
           Alcotest.test_case "--no-cache bypasses the memos" `Quick test_no_cache_bypasses_memos;
+          Alcotest.test_case "memo registry" `Quick test_memo_registry;
         ] );
       ("property", [ delta_property; winner_property ]);
     ]
