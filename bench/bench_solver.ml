@@ -143,13 +143,14 @@ let () =
       "{\n\
       \  \"workload\": \"lu+full-cholesky analyze + legality + E12 completion + codegen + verify\",\n\
       \  \"iterations\": %d,\n\
+      \  \"cores\": %d,\n\
       \  \"configs\": [\n\
        %s\n\
       \  ],\n\
       \  \"outputs_byte_equal\": %b,\n\
       \  \"speedup\": %.2f\n\
        }\n"
-      !iterations
+      !iterations (Domain.recommended_domain_count ())
       (String.concat ",\n" (List.map json_of_outcome outcomes))
       equal speedup
   in

@@ -92,7 +92,7 @@ let infer (old_layout : Layout.t) (m : Mat.t) : (t, string) result =
             old_to_new.(old_edge_base + k') <- new_base + (mcount - 1 - newchild)
           done
         end;
-        perms := (parent, Array.copy perm) :: !perms;
+        perms := (parent, perm) :: !perms;
         (* new block offsets: new child j' has the size of old child
            (inverse-perm j') *)
         let sizes = Array.of_list (List.map node_size children) in
@@ -109,27 +109,36 @@ let infer (old_layout : Layout.t) (m : Mat.t) : (t, string) result =
            column — the paper's own Section 6 completion matrix does so
            (its new L row reads the old I column, whose padded value for
            S3 is K).  Only the edge rows carry structure. *)
-        (* recurse into children and build the reordered child list *)
-        let transformed =
-          List.mapi
-            (fun i child ->
-              let old_b = old_offs.(i) and new_b = new_offs.(perm.(i)) in
-              let child_path = parent @ [ i ] in
-              match child with
-              | Ast.Stmt _ -> (perm.(i), child)
+        (* recurse into children and place each at its new index; an
+           unchanged region is returned as the very same list, so an
+           all-identity structure rebuilds nothing *)
+        let placed = Array.of_list children in
+        List.iteri
+          (fun i child ->
+            let old_b = old_offs.(i) and new_b = new_offs.(perm.(i)) in
+            placed.(perm.(i)) <-
+              (match child with
+              | Ast.Stmt _ -> child
               | Ast.If _ | Ast.Let _ -> reject "If/Let nodes cannot be transformed"
               | Ast.Loop l ->
                   old_to_new.(old_b) <- new_b;
-                  let body' = check_children child_path l.body (old_b + 1) (new_b + 1) in
-                  (perm.(i), Ast.Loop { l with body = body' }))
-            children
-        in
-        List.sort (fun (a, _) (b, _) -> compare a b) transformed |> List.map snd
+                  let body' = check_children (parent @ [ i ]) l.body (old_b + 1) (new_b + 1) in
+                  if body' == l.body then child else Ast.Loop { l with body = body' }))
+          children;
+        let same = ref true in
+        List.iteri (fun i child -> same := !same && placed.(i) == child) children;
+        if !same then children else Array.to_list placed
       end
     in
     let new_nest = check_children [] prog.Ast.nest 0 0 in
-    let new_program = { prog with Ast.nest = new_nest } in
-    let new_layout = Layout.of_program ~padding:old_layout.Layout.padding new_program in
+    (* Every statement permutation is the identity (interchange, skew,
+       reversal): the program and its layout are the old ones. *)
+    let new_program, new_layout =
+      if new_nest == prog.Ast.nest then (prog, old_layout)
+      else
+        let p = { prog with Ast.nest = new_nest } in
+        (p, Layout.of_program ~padding:old_layout.Layout.padding p)
+    in
     Ok
       {
         matrix = m;

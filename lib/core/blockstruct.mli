@@ -29,6 +29,8 @@ type t = {
 }
 
 val infer : Layout.t -> Mat.t -> (t, string) result
+(** When every child permutation is the identity (interchange, skew,
+    reversal), [new_program] and [new_layout] are the old ones. *)
 
 val map_path : t -> Ast.path -> Ast.path
 (** Where a node of the old program lands in the new one. *)

@@ -48,29 +48,32 @@ type dep_verdict = Dep_satisfied | Dep_unsatisfied | Dep_violated of string
 (* Everything the verdict of one dependence reads from the candidate: the
    matrix rows at the new positions of its common loops (outer-to-inner),
    and (for cross-statement dependences) whether the source precedes the
-   target in the transformed AST.  Memoizing on this tuple lets the
-   completion search reuse verdicts across candidate matrices that share
-   the relevant rows.  All components are canonical values (Mpz is
-   sign-magnitude without redundant forms), so polymorphic hashing and
-   equality are exact. *)
-type dep_key = { k_dep : Dep.t; k_rows : Vec.t list; k_src_precedes : bool }
+   target in the transformed AST.  Memoizing on this lets the completion
+   search reuse verdicts across candidate matrices that share the
+   relevant rows.  The rows are native ints, converted once per
+   candidate (a matrix with an entry beyond a native int is classified
+   without the tables), and flattened: every row has one entry per
+   layout position, as many as the dependence vector, so nothing is
+   lost.  The dependence's hash is taken once per {!env}; the keys of one
+   search share the dependence value, so comparing it is a pointer test. *)
+module Key = struct
+  type t = { k_dep : Dep.t; k_dep_hash : int; k_rows : int array; k_src_precedes : bool }
 
-module Dep_memo = Memo.Make (struct
-  type t = dep_key
+  let equal a b =
+    (a.k_dep == b.k_dep || (a.k_dep_hash = b.k_dep_hash && Dep.compare a.k_dep b.k_dep = 0))
+    && a.k_src_precedes = b.k_src_precedes
+    && a.k_rows = b.k_rows
 
-  (* [compare], not [( = )]: it skips physically shared subterms, and
-     every key of one dependence shares its [k_dep] *)
-  let equal a b = compare a b = 0
-
-  (* The rows are hashed entry by entry: [Hashtbl.hash] of the whole key
-     exhausts its budget of meaningful words inside [k_dep], so every key
-     of one dependence would share a bucket. *)
+  (* Folds in every row entry: [Hashtbl.hash] stops after ten meaningful
+     words, so keys differing only in late rows would share a bucket. *)
   let hash k =
-    List.fold_left
-      (fun h row -> Array.fold_left (fun h x -> (h * 31) + Hashtbl.hash x) h row)
-      (Hashtbl.hash (k.k_dep, k.k_src_precedes))
+    Array.fold_left
+      (fun h x -> (h * 31) + x)
+      ((k.k_dep_hash * 2) + Bool.to_int k.k_src_precedes)
       k.k_rows
-end)
+end
+
+module Dep_memo = Memo.Make (Key)
 
 type cache = dep_verdict Dep_memo.t
 
@@ -80,71 +83,25 @@ let make_cache () = Dep_memo.create ~max_entries:max_int ()
 
 (* ---- the process-wide verdict memo ----
 
-   Second lookup tier behind the per-search [cache]: a named memo keyed
-   on a string rendering of exactly what [classify_key] reads — the
-   dependence (its endpoints, kind, level and interval vector) and the
-   candidate's rows at the new positions of the dependence's common
-   loops, plus the transformed syntactic order.  A per-search cache dies
-   with its search; this table survives across searches and passes, so a
-   re-search of a known program classifies by lookup.  Verdict strings
-   are deterministic functions of the key, so sharing across worker
-   domains preserves the byte-identity contract. *)
+   Second lookup tier behind the per-search [cache], on the same keys.  A
+   per-search cache dies with its search; this table survives across
+   searches and passes, so a re-search of a known program classifies by
+   lookup.  Verdict strings are deterministic functions of the key, so
+   sharing across worker domains preserves the byte-identity contract. *)
 
-let verdict_memo : dep_verdict Memo.t = Memo.create ~name:"legality memo" ~max_entries:8192 ()
-let memo_stats () = Memo.stats verdict_memo
-let clear_memo () = Memo.clear verdict_memo
+let verdict_memo : dep_verdict Dep_memo.t =
+  Dep_memo.create ~name:"legality memo" ~max_entries:8192 ()
 
-let bound_to_string = function
-  | Interval.NegInf -> "-inf"
-  | Interval.PosInf -> "+inf"
-  | Interval.Fin z -> Inl_num.Mpz.to_string z
-
-(* Canonical rendering of one dependence, computed once per dependence
-   per environment (never per candidate). *)
-let dep_id (d : Dep.t) : string =
-  let b = Buffer.create 64 in
-  Buffer.add_string b d.Dep.src;
-  Buffer.add_char b '>';
-  Buffer.add_string b d.Dep.dst;
-  Buffer.add_char b ':';
-  Buffer.add_string b d.Dep.array;
-  Buffer.add_char b ':';
-  Buffer.add_string b (Dep.kind_to_string d.Dep.kind);
-  Buffer.add_char b ':';
-  Buffer.add_string b (Dep.level_to_string d.Dep.level);
-  Buffer.add_char b (if d.Dep.approximate then '~' else '=');
-  Array.iter
-    (fun (iv : Interval.t) ->
-      Buffer.add_string b (bound_to_string iv.Interval.lo);
-      Buffer.add_char b ',';
-      Buffer.add_string b (bound_to_string iv.Interval.hi);
-      Buffer.add_char b ';')
-    d.Dep.vector;
-  Buffer.contents b
-
-let memo_key ~(id : string) (rows : Vec.t list) (src_precedes : bool) : string =
-  let b = Buffer.create 128 in
-  Buffer.add_string b id;
-  Buffer.add_char b (if src_precedes then '<' else '|');
-  List.iter
-    (fun (row : Vec.t) ->
-      Array.iter
-        (fun x ->
-          Buffer.add_string b (Inl_num.Mpz.to_string x);
-          Buffer.add_char b ',')
-        row;
-      Buffer.add_char b '/')
-    rows;
-  Buffer.contents b
+let memo_stats () = Dep_memo.stats verdict_memo
+let clear_memo () = Dep_memo.clear verdict_memo
 
 let row_coord (row : Vec.t) (d : Dep.t) : Interval.t =
   let acc = ref (Interval.point Inl_num.Mpz.zero) in
   Array.iteri (fun j dj -> acc := Interval.add !acc (Interval.scale row.(j) dj)) d.Dep.vector;
   !acc
 
-let classify_key (k : dep_key) : dep_verdict =
-  let d = k.k_dep in
-  let p = Array.of_list (List.map (fun row -> row_coord row d) k.k_rows) in
+let classify_rows (d : Dep.t) (rows : Vec.t list) (src_precedes : bool) : dep_verdict =
+  let p = Array.of_list (List.map (fun row -> row_coord row d) rows) in
   match classify p with
   | Satisfied -> Dep_satisfied
   | Violated ->
@@ -153,7 +110,7 @@ let classify_key (k : dep_key) : dep_verdict =
            Dep.pp d)
   | Possibly_zero ->
       if String.equal d.src d.dst then Dep_unsatisfied
-      else if k.k_src_precedes then Dep_satisfied
+      else if src_precedes then Dep_satisfied
       else
         Dep_violated
           (Format.asprintf
@@ -161,82 +118,103 @@ let classify_key (k : dep_key) : dep_verdict =
               precede %s in the transformed program"
              Dep.pp d d.src d.dst)
 
-(* Lookup ladder for one classified key: per-search structural cache,
-   then the process-wide memo (when the caller knows the dependence's
-   canonical id), then the interval arithmetic. *)
-let classify_cached ?cache ?id (key : dep_key) : dep_verdict =
-  let compute () =
-    match id with
-    | None -> classify_key key
-    | Some id ->
-        Memo.memo verdict_memo (memo_key ~id key.k_rows key.k_src_precedes) (fun () ->
-            classify_key key)
-  in
-  match cache with None -> compute () | Some c -> Dep_memo.memo c key compute
+(* Static description of the dependences: everything a per-candidate
+   check reads that does not depend on the candidate.  A search builds it
+   once; {!check} once per call. *)
+type env = {
+  e_layout : Layout.t;
+  e_deps : Dep.t array;
+  e_hashes : int array;  (* dependence hashes, for the memo keys *)
+  e_commons : int list array;  (* old loop positions common to the endpoints *)
+  e_src_path : Inl_ir.Ast.path array;
+  e_dst_path : Inl_ir.Ast.path array;
+  e_same_stmt : bool array;
+  e_loop_positions : int list;
+}
 
-let classify_dep ?cache ?id (layout : Layout.t) (structure : Blockstruct.t) (m : Mat.t)
-    (d : Dep.t) : dep_verdict =
-  let s_src = Layout.stmt_info layout d.src and s_dst = Layout.stmt_info layout d.dst in
-  (* common loops in the transformed program: map old loop positions,
-     then order by new position (outer-to-inner) *)
+let make_env (layout : Layout.t) (deps : Dep.t list) : env =
+  let arr = Array.of_list deps in
+  let info l = Layout.stmt_info layout l in
+  {
+    e_layout = layout;
+    e_deps = arr;
+    e_hashes = Array.map Hashtbl.hash arr;
+    e_commons =
+      Array.map (fun (d : Dep.t) -> Layout.common_loop_positions layout (info d.Dep.src) (info d.Dep.dst)) arr;
+    e_src_path = Array.map (fun (d : Dep.t) -> (info d.Dep.src).Layout.path) arr;
+    e_dst_path = Array.map (fun (d : Dep.t) -> (info d.Dep.dst).Layout.path) arr;
+    e_same_stmt = Array.map (fun (d : Dep.t) -> String.equal d.Dep.src d.Dep.dst) arr;
+    e_loop_positions = Layout.loop_positions layout;
+  }
+
+(* Does dependence [i]'s source precede its target in the transformed
+   program? *)
+let precedes env (structure : Blockstruct.t) i =
+  env.e_same_stmt.(i)
+  ||
+  let sp = Blockstruct.map_path structure env.e_src_path.(i) in
+  let dp = Blockstruct.map_path structure env.e_dst_path.(i) in
+  Inl_ir.Ast.syntactic_compare sp dp < 0
+
+(* The candidate's rows in native ints, or [None] past a native int. *)
+let int_rows (m : Mat.t) = lazy (try Some (Array.map Vec.to_int_array m) with Failure _ -> None)
+
+(* Lookup ladder for dependence [i], its common loops taken at their new
+   positions, outer-to-inner: per-search cache, then (with [~shared]) the
+   process-wide memo, then the interval arithmetic. *)
+let classify_one ?cache ~shared env (structure : Blockstruct.t) m im i src_precedes : dep_verdict =
+  let d = env.e_deps.(i) in
   let commons =
-    Layout.common_loop_positions layout s_src s_dst
-    |> List.map (fun old_pos -> structure.Blockstruct.old_to_new.(old_pos))
-    |> List.sort compare
+    List.sort Int.compare (List.map (Array.get structure.Blockstruct.old_to_new) env.e_commons.(i))
   in
-  let src_precedes =
-    String.equal d.src d.dst
-    ||
-    let p_src = Blockstruct.map_path structure s_src.Layout.path in
-    let p_dst = Blockstruct.map_path structure s_dst.Layout.path in
-    Inl_ir.Ast.syntactic_compare p_src p_dst < 0
-  in
-  let key =
-    {
-      k_dep = d;
-      (* copied: candidate matrices are mutated in place by the search,
-         and a key must not change under a stored entry *)
-      k_rows = List.map (fun i -> Vec.copy (Mat.row m i)) commons;
-      k_src_precedes = src_precedes;
-    }
-  in
-  classify_cached ?cache ?id key
+  let compute () = classify_rows d (List.map (Mat.row m) commons) src_precedes in
+  match if shared || Option.is_some cache then Lazy.force im else None with
+  | None -> compute ()
+  | Some im -> (
+      let key =
+        {
+          Key.k_dep = d;
+          k_dep_hash = env.e_hashes.(i);
+          k_rows = Array.concat (List.map (Array.get im) commons);
+          k_src_precedes = src_precedes;
+        }
+      in
+      let compute () = if shared then Dep_memo.memo verdict_memo key compute else compute () in
+      match cache with None -> compute () | Some c -> Dep_memo.memo c key compute)
 
 let check ?(jobs = 1) ?cache (layout : Layout.t) (m : Mat.t) (deps : Dep.t list) : verdict =
   match Blockstruct.infer layout m with
   | Error msg -> Illegal ("block structure: " ^ msg)
   | Ok structure ->
-      let finish verdicts =
-        (* first offender in dependence order, whatever the schedule *)
-        let rec scan unsat = function
-          | [] -> Legal { structure; unsatisfied = List.rev unsat }
-          | (d, v) :: rest -> (
-              match v with
-              | Dep_satisfied -> scan unsat rest
-              | Dep_unsatisfied -> scan (d :: unsat) rest
-              | Dep_violated msg -> Illegal msg)
-        in
-        scan [] verdicts
+      let env = make_env layout deps in
+      let im = int_rows m in
+      let classify i =
+        classify_one ?cache ~shared:false env structure m im i (precedes env structure i)
       in
-      if jobs > 1 then
-        finish
-          (Pool.map ~jobs (fun d -> (d, classify_dep ?cache layout structure m d)) deps)
-      else begin
-        (* sequential path: stop classifying at the first violation *)
-        let exception Offender of string in
-        try
-          let unsat =
-            List.fold_left
-              (fun unsat d ->
-                match classify_dep ?cache layout structure m d with
-                | Dep_satisfied -> unsat
-                | Dep_unsatisfied -> d :: unsat
-                | Dep_violated msg -> raise (Offender msg))
-              [] deps
-          in
-          Legal { structure; unsatisfied = List.rev unsat }
-        with Offender msg -> Illegal msg
-      end
+      let indices = List.init (Array.length env.e_deps) Fun.id in
+      let classify =
+        if jobs <= 1 then classify
+        else begin
+          (* forced here: a lazy value must not be forced by racing domains *)
+          if Option.is_some cache then ignore (Lazy.force im);
+          Array.get (Array.of_list (Pool.map ~jobs classify indices))
+        end
+      in
+      (* the first offender in dependence order, whatever the schedule;
+         the sequential path stops classifying at it *)
+      let exception Offender of string in
+      try
+        let unsat =
+          List.fold_left
+            (fun unsat i ->
+              match classify i with
+              | Dep_satisfied -> unsat
+              | Dep_unsatisfied -> env.e_deps.(i) :: unsat
+              | Dep_violated msg -> raise (Offender msg))
+            [] indices
+        in
+        Legal { structure; unsatisfied = List.rev unsat }
+      with Offender msg -> Illegal msg
 
 let is_legal ?jobs ?cache layout m deps =
   match check ?jobs ?cache layout m deps with Legal _ -> true | Illegal _ -> false
@@ -255,34 +233,6 @@ let is_legal ?jobs ?cache layout m deps =
    Anything short of that proof falls back to the full classification
    ladder — the delta never weakens the check, it only skips re-deriving
    verdicts whose inputs are bit-identical. *)
-
-(* Static (per-search) description of the dependences: everything a
-   per-candidate check reads that does not depend on the candidate. *)
-type env = {
-  e_layout : Layout.t;
-  e_deps : Dep.t array;
-  e_ids : string array;  (* canonical dependence renderings, for the memo *)
-  e_commons : int list array;  (* old loop positions common to the endpoints *)
-  e_src_path : Inl_ir.Ast.path array;
-  e_dst_path : Inl_ir.Ast.path array;
-  e_same_stmt : bool array;
-  e_loop_positions : int list;
-}
-
-let make_env (layout : Layout.t) (deps : Dep.t list) : env =
-  let arr = Array.of_list deps in
-  let info l = Layout.stmt_info layout l in
-  {
-    e_layout = layout;
-    e_deps = arr;
-    e_ids = Array.map dep_id arr;
-    e_commons =
-      Array.map (fun (d : Dep.t) -> Layout.common_loop_positions layout (info d.Dep.src) (info d.Dep.dst)) arr;
-    e_src_path = Array.map (fun (d : Dep.t) -> (info d.Dep.src).Layout.path) arr;
-    e_dst_path = Array.map (fun (d : Dep.t) -> (info d.Dep.dst).Layout.path) arr;
-    e_same_stmt = Array.map (fun (d : Dep.t) -> String.equal d.Dep.src d.Dep.dst) arr;
-    e_loop_positions = Layout.loop_positions layout;
-  }
 
 (* Everything the delta test compares between a parent and a child: per
    old loop position its new position and the candidate's row there, the
@@ -309,7 +259,7 @@ let reset_delta_stats () =
   Atomic.set delta_inherited 0;
   Atomic.set delta_checked 0
 
-let check_env ?cache ?parent (env : env) (m : Mat.t) : verdict * summary option =
+let check_env ?cache ?parent ?rows (env : env) (m : Mat.t) : verdict * summary option =
   match Blockstruct.infer env.e_layout m with
   | Error msg -> (Illegal ("block structure: " ^ msg), None)
   | Ok structure ->
@@ -328,13 +278,7 @@ let check_env ?cache ?parent (env : env) (m : Mat.t) : verdict * summary option 
       let src_precedes =
         match parent with
         | Some py when py.y_perms = structure.Blockstruct.perms -> py.y_src_precedes
-        | _ ->
-            Array.init nd (fun i ->
-                env.e_same_stmt.(i)
-                ||
-                let sp = Blockstruct.map_path structure env.e_src_path.(i) in
-                let dp = Blockstruct.map_path structure env.e_dst_path.(i) in
-                Inl_ir.Ast.syntactic_compare sp dp < 0)
+        | _ -> Array.init nd (precedes env structure)
       in
       (* Old loop positions whose (new position, row) pair differs from
          the parent's — computed once per candidate, so the per-dep
@@ -356,23 +300,8 @@ let check_env ?cache ?parent (env : env) (m : Mat.t) : verdict * summary option 
             c
       in
       let verdicts = Array.make nd Dep_satisfied in
+      let im = match rows with Some r -> Lazy.from_val (Some r) | None -> int_rows m in
       let exception Offender of string in
-      let classify_one i =
-        let d = env.e_deps.(i) in
-        let commons =
-          env.e_commons.(i)
-          |> List.map (fun old_pos -> structure.Blockstruct.old_to_new.(old_pos))
-          |> List.sort compare
-        in
-        let key =
-          {
-            k_dep = d;
-            k_rows = List.map (fun p -> Vec.copy (Mat.row m p)) commons;
-            k_src_precedes = src_precedes.(i);
-          }
-        in
-        classify_cached ?cache ~id:env.e_ids.(i) key
-      in
       let result =
         try
           for i = 0 to nd - 1 do
@@ -395,22 +324,16 @@ let check_env ?cache ?parent (env : env) (m : Mat.t) : verdict * summary option 
                   v
               | None ->
                   Atomic.incr delta_checked;
-                  classify_one i
+                  classify_one ?cache ~shared:true env structure m im i src_precedes.(i)
             in
             verdicts.(i) <- v;
             match v with Dep_violated msg -> raise (Offender msg) | _ -> ()
           done;
-          let unsat =
-            Array.to_list
-              (Array.of_seq
-                 (Seq.filter_map
-                    (fun i ->
-                      match verdicts.(i) with
-                      | Dep_unsatisfied -> Some env.e_deps.(i)
-                      | _ -> None)
-                    (Seq.init nd Fun.id)))
-          in
-          Legal { structure; unsatisfied = unsat }
+          let unsat = ref [] in
+          for i = nd - 1 downto 0 do
+            if verdicts.(i) = Dep_unsatisfied then unsat := env.e_deps.(i) :: !unsat
+          done;
+          Legal { structure; unsatisfied = !unsat }
         with Offender msg -> Illegal msg
       in
       let summary =

@@ -25,20 +25,22 @@ type verdict =
 val transformed_vector : Mat.t -> Dep.t -> Interval.t array
 (** [M . d] by exact interval arithmetic, indexed by new positions. *)
 
-val dep_id : Dep.t -> string
-(** Canonical exact rendering of one dependence (endpoints, array, kind,
-    level, approximation flag, and the interval vector with exact
-    bounds — unlike {!Dep.pp}, which abbreviates intervals to direction
-    symbols).  Used as the dependence component of process-wide memo
-    keys. *)
+module Key : sig
+  type t = { k_dep : Dep.t; k_dep_hash : int; k_rows : int array; k_src_precedes : bool }
+
+  include Hashtbl.HashedType with type t := t
+end
+(** The key of both verdict tiers, exactly what a verdict reads: the
+    dependence (and its hash, taken once per {!env}), the candidate's
+    rows at the new positions of its common loops — outer-to-inner,
+    flattened, in native ints — and the transformed syntactic order of
+    its endpoints. *)
 
 type cache
-(** Memo of per-dependence verdicts, keyed on exactly what a verdict
-    reads: the dependence, the new positions of its common loops, the
-    matrix rows at those positions, and the transformed syntactic order
-    of its endpoints.  The completion search shares one across candidate
-    matrices (which differ in few rows), turning repeated leaf checks
-    into lookups.  Safe for concurrent use. *)
+(** Memo of per-dependence verdicts on {!Key}.  The completion search
+    shares one across candidate matrices (which differ in few rows),
+    turning repeated leaf checks into lookups.  Safe for concurrent
+    use. *)
 
 val make_cache : unit -> cache
 
@@ -68,9 +70,9 @@ val is_legal : ?jobs:int -> ?cache:cache -> Layout.t -> Mat.t -> Dep.t list -> b
 
 type env
 (** Per-(program, dependence-set) precomputation shared by every
-    candidate of a search: canonical dependence ids for the process-wide
-    memo, common old-loop positions and untransformed statement paths
-    per dependence. *)
+    candidate of a search: dependence hashes for the verdict keys, common
+    old-loop positions and untransformed statement paths per
+    dependence. *)
 
 val make_env : Layout.t -> Dep.t list -> env
 
@@ -82,19 +84,24 @@ type summary
     per-dependence verdicts.  Produced only for [Legal] candidates
     (only those are ever extended). *)
 
-val check_env : ?cache:cache -> ?parent:summary -> env -> Mat.t -> verdict * summary option
+val check_env :
+  ?cache:cache ->
+  ?parent:summary ->
+  ?rows:int array array ->
+  env ->
+  Mat.t ->
+  verdict * summary option
 (** Like {!check} (sequential, first offender in dependence order), but
     (i) consults the process-wide verdict memo behind the per-search
     [cache], and (ii) given the [parent] summary, inherits every verdict
-    whose inputs are unchanged by the move. *)
+    whose inputs are unchanged by the move.  [rows] is the matrix in
+    native ints, when the caller has it already. *)
 
 (** {1 Process-wide verdict memo}
 
-    The {!Inl_diag.Memo} table ["legality memo"], keyed on a canonical
-    string of exactly what a verdict reads (dependence id, common-loop
-    rows outer-to-inner, transformed endpoint order).  It survives across
-    searches and passes, so a re-search of a known program classifies
-    dependences by lookup. *)
+    The {!Inl_diag.Memo} table ["legality memo"], on {!Key}.  It
+    survives across searches and passes, so a re-search of a known
+    program classifies dependences by lookup. *)
 
 val memo_stats : unit -> Inl_diag.Memo.stats
 (** Hits/misses/evictions/entries of the process-wide verdict memo. *)

@@ -53,16 +53,15 @@ let sub_matrix m ~row ~col ~rows:r ~cols:c =
 
 let is_permutation m =
   let n = rows m in
+  let colsum = Array.make n 0 in
   cols m = n
   && Array.for_all
        (fun r ->
-         Array.for_all (fun x -> Mpz.is_zero x || Mpz.is_one x) r
-         && Mpz.equal (Array.fold_left Mpz.add Mpz.zero r) Mpz.one)
+         let ones = ref 0 in
+         Array.iteri (fun j x -> if Mpz.is_one x then (incr ones; colsum.(j) <- colsum.(j) + 1)) r;
+         !ones = 1 && Array.for_all (fun x -> Mpz.is_zero x || Mpz.is_one x) r)
        m
-  &&
-  let colsum = Array.make n 0 in
-  Array.iter (fun r -> Array.iteri (fun j x -> if Mpz.is_one x then colsum.(j) <- colsum.(j) + 1) r) m;
-  Array.for_all (fun s -> s = 1) colsum
+  && Array.for_all (fun s -> s = 1) colsum
 
 let permutation_of_list p =
   let n = List.length p in

@@ -219,9 +219,10 @@ let to_int_opt x =
   end
 
 let to_int x =
-  match to_int_opt x with
-  | Some v -> v
-  | None -> failwith "Mpz.to_int: overflow"
+  match x.mag with
+  | [||] -> 0
+  | [| l |] -> if x.sign < 0 then -l else l (* one limb always fits *)
+  | _ -> ( match to_int_opt x with Some v -> v | None -> failwith "Mpz.to_int: overflow")
 
 let neg x = { x with sign = -x.sign }
 let abs x = if x.sign < 0 then neg x else x

@@ -95,19 +95,26 @@ let recipe_line (t : Tf.t) : string =
 
 (* ---- search states ---- *)
 
+(* What the static tier keeps of a candidate's reuse signature. *)
+type static = {
+  score : float;
+  sig_key : string;  (** canonical reuse-signature key (Inl_reuse) *)
+  unknown_refs : int;  (** references scored pessimistically (singular T_S) *)
+}
+
 (* A live (legal) state of the beam.  Completion-seeded states are not
    extendable: the Tf format keeps completion rows and pipeline steps
    mutually exclusive so recipes stay replayable, and appending a step
    to a derived matrix has no recipe representation. *)
 type state = {
   s_recipe : Tf.t;
-  s_key : string;  (** recipe text, the deterministic tie-breaker *)
-  s_matrix : Mat.t;
+  mutable s_key : string option;
+      (** recipe text, the tie-breaker: [recipe_key] prints it on the
+          calling domain when a tie first needs it *)
+  s_rows : int array array;  (** the matrix in native ints, the duplicate key *)
   s_structure : Inl.Blockstruct.t;
   s_unsatisfied : Dep.t list;
-  s_score : float;
-  s_sig_key : string;  (** canonical reuse-signature key (Inl_reuse) *)
-  s_unknown_refs : int;  (** references scored pessimistically (singular T_S) *)
+  s_static : static;
   s_extendable : bool;
   s_summary : Inl.Legality.summary option;
       (** per-dependence verdicts of this (legal) state, inherited by its
@@ -118,37 +125,41 @@ type state = {
    legality only, safe to fan out over the Pool. *)
 type eval = Emat_failed of string | Eillegal of string | Elegal of state
 
+let recipe_key st =
+  if st.s_key = None then st.s_key <- Some (Tf.to_string st.s_recipe);
+  Option.get st.s_key
+
 let compare_static a b =
-  match Float.compare a.s_score b.s_score with 0 -> compare a.s_key b.s_key | c -> c
+  match Float.compare a.s_static.score b.s_static.score with
+  | 0 -> String.compare (recipe_key a) (recipe_key b)
+  | c -> c
 
 let evaluate (env : Inl.Legality.env) (lcache : Inl.Legality.cache) ~extendable ?parent
     (recipe : Tf.t) ~(materialize : Tf.t -> (Mat.t, string) result)
-    ~(signature : Inl.Blockstruct.t -> Mat.t -> Reuse.t) : eval =
-  match materialize recipe with
+    ~(signature : Inl.Blockstruct.t -> int array array -> static) : eval =
+  (* the keys read the matrix in native ints: converted once, here *)
+  match Result.map (fun m -> (m, Array.map Vec.to_int_array m)) (materialize recipe) with
   | Error msg -> Emat_failed msg
   | exception e -> Emat_failed (Printexc.to_string e)
-  | Ok m -> (
+  | Ok (m, rows) -> (
       (* delta legality: verdicts whose inputs the move left untouched
          are inherited from the parent; the rest re-classify through the
          per-search cache and the process-wide verdict memo *)
-      match Inl.Legality.check_env ~cache:lcache ?parent env m with
+      match Inl.Legality.check_env ~cache:lcache ?parent ~rows env m with
       | Inl.Legality.Illegal reason, _ -> Eillegal reason
       | Inl.Legality.Legal { structure; unsatisfied }, summary ->
-          (* the reuse signature is memoized process-wide on canonical
-             access/transformation matrices, so locality-equivalent
-             candidates — and re-searches of the same program — score by
-             table lookup from any worker domain *)
-          let sg = signature structure m in
           Elegal
             {
               s_recipe = recipe;
-              s_key = Tf.to_string recipe;
-              s_matrix = m;
+              s_key = None;
+              s_rows = rows;
               s_structure = structure;
               s_unsatisfied = unsatisfied;
-              s_score = Reuse.weighted_score sg;
-              s_sig_key = Reuse.key sg;
-              s_unknown_refs = Reuse.unknown_refs sg;
+              (* the reuse signature is memoized process-wide on canonical
+                 access/transformation matrices, so locality-equivalent
+                 candidates — and re-searches of the same program — score
+                 by table lookup from any worker domain *)
+              s_static = signature structure rows;
               s_extendable = extendable;
               s_summary = summary;
             })
@@ -166,25 +177,49 @@ let evaluate (env : Inl.Legality.env) (lcache : Inl.Legality.cache) ~extendable 
    [inltool apply] depends on this).  Completion recipes memoize the
    full completion result keyed on the exact dependence set.  Errors are
    memoized too: a prefix that fails against the program shape fails for
-   every candidate sharing it. *)
+   every candidate sharing it.
 
-let pipe_memo : (Mat.t * Layout.t, string) result Memo.t =
-  Memo.create ~name:"pipe memo" ~max_entries:8192 ()
+   Keys are structural.  The program enters them as its printed text
+   (with its serialized dependences, for completion), made and hashed
+   once per search: the keys of one search share the string, so
+   comparing programs is a pointer test within a search and one memcmp
+   across searches.  The rest of a key — a step list or
+   matrix rows — is hashed entry by entry ([Hashtbl.hash] stops after
+   ten meaningful words, so long keys would share buckets). *)
 
-let complete_memo : (Mat.t, string) result Memo.t =
-  Memo.create ~name:"complete memo" ~max_entries:1024 ()
+module Key = struct
+  type prog_id = { text : string; hash : int }
+
+  let prog_id text = { text; hash = Hashtbl.hash text }
+
+  type t = { k_prog : prog_id; k_steps : (string * string) list; k_rows : int array array }
+
+  let equal a b =
+    (a.k_prog == b.k_prog
+    || (a.k_prog.hash = b.k_prog.hash && String.equal a.k_prog.text b.k_prog.text))
+    && a.k_steps = b.k_steps && a.k_rows = b.k_rows
+
+  let hash k =
+    let h = List.fold_left (fun h step -> (h * 31) + Hashtbl.hash step) k.k_prog.hash k.k_steps in
+    Array.fold_left (Array.fold_left (fun h x -> (h * 31) + x)) h k.k_rows
+end
+
+module Key_memo = Memo.Make (Key)
+
+let pipe_memo : (Mat.t * Layout.t, string) result Key_memo.t =
+  Key_memo.create ~name:"pipe memo" ~max_entries:8192 ()
+
+let complete_memo : (Mat.t, string) result Key_memo.t =
+  Key_memo.create ~name:"complete memo" ~max_entries:1024 ()
 
 (* Front tier of the reuse-signature memo: keyed on the raw candidate
-   matrix (cheap to render) instead of the canonical per-statement rows
-   (whose computation is most of a signature lookup's cost).  Misses fall
-   through to Inl_reuse's canonical memo, which still collapses
-   locality-equivalent matrices. *)
-let sig_memo : Reuse.t Memo.t = Memo.create ~name:"sig memo" ~max_entries:4096 ()
-let mat_cache_stats () = Memo.stats pipe_memo
-let completion_cache_stats () = Memo.stats complete_memo
-
-let steps_key steps =
-  String.concat ";" (List.map (fun (kind, spec) -> kind ^ " " ^ spec) steps)
+   matrix instead of the canonical per-statement rows (whose computation
+   is most of a signature lookup's cost), and holding the score and key
+   the static tier reads.  Misses fall through to Inl_reuse's canonical
+   memo, which still collapses locality-equivalent matrices. *)
+let sig_memo : static Key_memo.t = Key_memo.create ~name:"sig memo" ~max_entries:4096 ()
+let mat_cache_stats () = Key_memo.stats pipe_memo
+let completion_cache_stats () = Key_memo.stats complete_memo
 
 (* [init @ [last]] split; steps lists are short (one per generation). *)
 let split_last steps =
@@ -192,15 +227,14 @@ let split_last steps =
   | [] -> invalid_arg "split_last"
   | last :: rev_init -> (List.rev rev_init, last)
 
-let materialize_steps ~prog_key (ctx : Inl.context) (steps : (string * string) list) :
+let materialize_steps ~(prog : Key.prog_id) (ctx : Inl.context) (steps : (string * string) list) :
     (Mat.t, string) result =
   let layout0 = ctx.Inl.layout in
   let rec prefix steps : (Mat.t * Layout.t, string) result =
     match steps with
     | [] -> Ok (Mat.identity (Layout.size layout0), layout0)
     | _ ->
-        Memo.memo pipe_memo (Printf.sprintf "pipe|%s|%s" prog_key (steps_key steps))
-          (fun () ->
+        Key_memo.memo pipe_memo { k_prog = prog; k_steps = steps; k_rows = [||] } (fun () ->
             let init, (kind, spec) = split_last steps in
             match prefix init with
             | Error _ as e -> e
@@ -231,7 +265,8 @@ let arrays_memo : (string * int list) list Memo.t =
   Memo.create ~name:"arrays memo" ~max_entries:256 ()
 
 let clear_process_memos () =
-  Memo.(clear pipe_memo; clear complete_memo; clear sig_memo; clear sim_memo; clear arrays_memo)
+  Key_memo.(clear pipe_memo; clear complete_memo; clear sig_memo);
+  Memo.(clear sim_memo; clear arrays_memo)
 
 let trace_cache_stats () = Memo.stats sim_memo
 
@@ -307,6 +342,8 @@ let simulate (config : config) ~arrays ~params (prog : Ast.program) : Cachesim.s
 
 (* ---- the search ---- *)
 
+module Seen = Hashtbl.Make (Key)
+
 let optimize ?(config = default_config) (ctx : Inl.context) : outcome =
   Stats.timed "search" @@ fun () ->
   let diags = ref [] in
@@ -330,7 +367,15 @@ let optimize ?(config = default_config) (ctx : Inl.context) : outcome =
     (mat_cache_stats ()).Memo.hits + (completion_cache_stats ()).Memo.hits
   in
   let delta_inherited_before, delta_checked_before = Inl.Legality.delta_stats () in
-  let seen : (int list list, unit) Hashtbl.t = Hashtbl.create 64 in
+  (* This program's identity in the process-wide memo keys.  The
+     completion identity also holds the exact dependence set, serialized
+     without sharing so that equal sets give equal bytes — under a
+     different budget the same source can analyze to different
+     (approximate) dependences, and completion reads them. *)
+  let prog_text = Inl.Pp.program_to_string ctx.Inl.program in
+  let prog = Key.prog_id prog_text in
+  let prog_deps = Key.prog_id (prog_text ^ Marshal.to_string ctx.Inl.deps [ Marshal.No_sharing ]) in
+  let seen = Seen.create 256 in
   (* Reuse-signature equivalence classes of this search's legal
      candidates: the first member of a class pays for the scoring, every
      later member is a memo lookup and counts as pruned. *)
@@ -351,35 +396,29 @@ let optimize ?(config = default_config) (ctx : Inl.context) : outcome =
             incr illegal;
             None
         | Elegal st ->
-            let key = Mat.to_int_lists st.s_matrix in
-            if Hashtbl.mem seen key then begin
+            (* the duplicate filter, keyed on the candidate matrix *)
+            let key = { Key.k_prog = prog; k_steps = []; k_rows = st.s_rows } in
+            if Seen.mem seen key then begin
               incr duplicate;
               None
             end
             else begin
-              Hashtbl.add seen key ();
+              Seen.add seen key ();
               incr scored;
-              if Hashtbl.mem sig_classes st.s_sig_key then incr reuse_pruned
+              if Hashtbl.mem sig_classes st.s_static.sig_key then incr reuse_pruned
               else begin
-                Hashtbl.add sig_classes st.s_sig_key ();
+                Hashtbl.add sig_classes st.s_static.sig_key ();
                 incr reuse_classes
               end;
-              if st.s_unknown_refs > 0 then begin
+              if st.s_static.unknown_refs > 0 then begin
                 incr degraded_scores;
-                unknown_refs_total := !unknown_refs_total + st.s_unknown_refs
+                unknown_refs_total := !unknown_refs_total + st.s_static.unknown_refs
               end;
               all_legal := st :: !all_legal;
               Some st
             end)
       evals
   in
-  (* Keys identifying this program for the process-wide materialization
-     memos; computed once per search.  The completion key also renders
-     the exact dependence set — under a different budget the same source
-     can analyze to different (approximate) dependences, and completion
-     reads them. *)
-  let prog_key = Inl.Pp.program_to_string ctx.Inl.program in
-  let deps_key = String.concat "&" (List.map Inl.Legality.dep_id ctx.Inl.deps) in
   let materialize (recipe : Tf.t) : (Mat.t, string) result =
     if recipe.Tf.edits <> [] then Tf.materialize ctx recipe
     else
@@ -388,21 +427,23 @@ let optimize ?(config = default_config) (ctx : Inl.context) : outcome =
       | _ :: _, _ :: _ -> Tf.materialize ctx recipe (* the mixed-recipe error path *)
       | _ :: _, [] ->
           Result.map Mat.copy
-            (Memo.memo complete_memo
-               (Printf.sprintf "complete|%s|%s|%s" prog_key deps_key (Tf.to_string recipe))
+            (Key_memo.memo complete_memo
+               {
+                 k_prog = prog_deps;
+                 k_steps = [];
+                 k_rows = Array.of_list (List.map Array.of_list recipe.Tf.partial);
+               }
                (fun () -> Tf.materialize ctx recipe))
-      | [], steps -> materialize_steps ~prog_key ctx steps
+      | [], steps -> materialize_steps ~prog ctx steps
   in
-  let matrix_key m =
-    String.concat "/"
-      (List.map
-         (fun row -> String.concat "," (List.map string_of_int row))
-         (Mat.to_int_lists m))
-  in
-  let signature structure m =
-    Memo.memo sig_memo
-      (Printf.sprintf "sig|%s|%s" prog_key (matrix_key m))
-      (fun () -> Reuse.signature ctx structure)
+  let signature structure rows =
+    Key_memo.memo sig_memo { k_prog = prog; k_steps = []; k_rows = rows } (fun () ->
+        let sg = Reuse.signature ctx structure in
+        {
+          score = Reuse.weighted_score sg;
+          sig_key = Reuse.key sg;
+          unknown_refs = Reuse.unknown_refs sg;
+        })
   in
   let env = Inl.Legality.make_env ctx.Inl.layout ctx.Inl.deps in
   (* Generation 0: the identity, then the completion-derived seeds.
@@ -544,15 +585,15 @@ let optimize ?(config = default_config) (ctx : Inl.context) : outcome =
   let rep_table : (string, int) Hashtbl.t = Hashtbl.create 8 in
   Array.iteri
     (fun i st ->
-      if prog_arr.(i) <> None && not (Hashtbl.mem rep_table st.s_sig_key) then
-        Hashtbl.add rep_table st.s_sig_key i)
+      if prog_arr.(i) <> None && not (Hashtbl.mem rep_table st.s_static.sig_key) then
+        Hashtbl.add rep_table st.s_static.sig_key i)
     fin_arr;
   let sim_inputs =
     Some ctx.Inl.program
     :: Array.to_list
          (Array.mapi
             (fun i p ->
-              if p <> None && Hashtbl.find rep_table fin_arr.(i).s_sig_key = i then p
+              if p <> None && Hashtbl.find rep_table fin_arr.(i).s_static.sig_key = i then p
               else None)
             prog_arr)
   in
@@ -572,7 +613,7 @@ let optimize ?(config = default_config) (ctx : Inl.context) : outcome =
       (Array.mapi
          (fun i st ->
            let prog = prog_arr.(i) in
-           let rep = match prog with None -> i | Some _ -> Hashtbl.find rep_table st.s_sig_key in
+           let rep = match prog with None -> i | Some _ -> Hashtbl.find rep_table st.s_static.sig_key in
            let sim = match prog with None -> None | Some _ -> rep_sims.(rep) in
            (match (prog, sim) with
            | Some _, None when rep = i ->
@@ -583,26 +624,26 @@ let optimize ?(config = default_config) (ctx : Inl.context) : outcome =
            | _ -> ());
            if prog <> None && rep <> i then incr sim_shared;
            if sim <> None && rep = i then incr simulated;
-           {
-             rank = 0;
-             recipe = st.s_recipe;
-             static_score = st.s_score;
-             misses = Option.map (fun (s : Cachesim.stats) -> s.Cachesim.misses) sim;
-             accesses = Option.map (fun (s : Cachesim.stats) -> s.Cachesim.accesses) sim;
-             program = prog;
-           })
+           let misses = Option.map (fun (s : Cachesim.stats) -> s.Cachesim.misses) sim in
+           (* Final order: simulated candidates by misses, then the rest
+              by the static tier; every tie breaks on the recipe text. *)
+           ( ( Option.is_none misses,
+               Option.value misses ~default:0,
+               st.s_static.score,
+               recipe_key st ),
+             {
+               rank = 0;
+               recipe = st.s_recipe;
+               static_score = st.s_static.score;
+               misses;
+               accesses = Option.map (fun (s : Cachesim.stats) -> s.Cachesim.accesses) sim;
+               program = prog;
+             } ))
          fin_arr)
   in
-  (* Final order: simulated candidates by misses, then the rest by the
-     static tier; every tie breaks on the recipe text. *)
-  let key (e : entry) =
-    match e.misses with
-    | Some m -> (0, m, e.static_score, Tf.to_string e.recipe)
-    | None -> (1, 0, e.static_score, Tf.to_string e.recipe)
-  in
   let entries =
-    List.sort (fun a b -> compare (key a) (key b)) scored_entries
-    |> List.mapi (fun i e -> { e with rank = i + 1 })
+    List.sort (fun (a, _) (b, _) -> compare a b) scored_entries
+    |> List.mapi (fun i (_, e) -> { e with rank = i + 1 })
   in
   (* ---- the Inl_verify gate: the winner is the best-ranked finalist
      whose generated code passes translation validation ---- *)

@@ -138,6 +138,20 @@ val recipe_line : Tf.t -> string
 val clear_process_memos : unit -> unit
 (** Forget the five search memos. *)
 
+module Key : sig
+  type prog_id
+
+  val prog_id : string -> prog_id
+  (** A program's identity in the keys: its printed text, hashed once. *)
+
+  type t = { k_prog : prog_id; k_steps : (string * string) list; k_rows : int array array }
+
+  include Hashtbl.HashedType with type t := t
+end
+(** The structural key of the pipe memo (program, step prefix), the
+    completion memo (program with its dependence set, partial rows), the
+    signature memo and the duplicate filter (program, candidate matrix). *)
+
 val trace_cache_stats : unit -> Inl_diag.Memo.stats
 (** Counters of the simulation memo. *)
 

@@ -96,7 +96,57 @@ let test_new_layout_consistency () =
               (kind_of cholesky.Inl.layout.Layout.positions.(old_idx)
               = kind_of st.Blockstruct.new_layout.Layout.positions.(new_idx))
           end)
-        st.Blockstruct.old_to_new
+        st.Blockstruct.old_to_new;
+      (* The new program is the old one with its children placed by the
+         permutations, and the new layout is that program's layout.
+         Matrices whose edge squares are all identities (interchange,
+         skew, reversal) share the old program and layout outright. *)
+      let layout = cholesky.Inl.layout and prog = cholesky.Inl.program in
+      let rebuilt (st : Blockstruct.t) =
+        let rec region path children =
+          if children = [] then []
+          else begin
+            let perm = List.assoc path st.Blockstruct.perms in
+            let placed = Array.of_list children in
+            List.iteri
+              (fun i c ->
+                placed.(perm.(i)) <-
+                  (match c with
+                  | Ast.Loop l -> Ast.Loop { l with Ast.body = region (path @ [ i ]) l.Ast.body }
+                  | c -> c))
+              children;
+            Array.to_list placed
+          end
+        in
+        { prog with Ast.nest = region [] prog.Ast.nest }
+      in
+      let identities = ref 0 and others = ref 0 in
+      List.iter
+        (fun m ->
+          match Blockstruct.infer layout m with
+          | Error _ -> ()
+          | Ok st ->
+              let p = rebuilt st in
+              Alcotest.(check bool) "new program rebuilt" true (st.Blockstruct.new_program = p);
+              Alcotest.(check bool) "new layout of the new program" true
+                (st.Blockstruct.new_layout = Layout.of_program ~padding:layout.Layout.padding p);
+              let is_identity perm =
+                Array.for_all2 ( = ) perm (Array.init (Array.length perm) Fun.id)
+              in
+              if List.for_all (fun (_, perm) -> is_identity perm) st.Blockstruct.perms then begin
+                incr identities;
+                Alcotest.(check bool) "old program shared" true
+                  (st.Blockstruct.new_program == prog);
+                Alcotest.(check bool) "old layout shared" true (st.Blockstruct.new_layout == layout)
+              end
+              else incr others)
+        (r
+        :: List.filter_map
+             (fun steps ->
+               Result.to_option
+                 (Inl_fuzz.Tf.materialize cholesky { Inl_fuzz.Tf.steps; partial = []; edits = [] }))
+             (Inl_search.Moves.enumerate prog));
+      Alcotest.(check bool) "both kinds covered" true (!identities > 0 && !others > 0)
 
 let () =
   Alcotest.run "blockstruct"

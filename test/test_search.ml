@@ -18,6 +18,9 @@ module Diag = Inl_diag.Diag
 module Pool = Inl_parallel.Pool
 module Ast = Inl_ir.Ast
 module Mat = Inl_linalg.Mat
+module Vec = Inl_linalg.Vec
+module Mpz = Inl_num.Mpz
+module Dep = Inl_depend.Dep
 module Layout = Inl_instance.Layout
 
 let parse = Inl_ir.Parser.parse_exn
@@ -160,8 +163,8 @@ let verdicts_agree ~what full delta =
   match (full, delta) with
   | ( Inl.Legality.Legal { unsatisfied = ua; _ },
       Inl.Legality.Legal { unsatisfied = ub; _ } ) ->
-      let ids v = List.map Inl.Legality.dep_id v in
-      if ids ua <> ids ub then QCheck2.Test.fail_reportf "%s: unsatisfied sets differ" what
+      if not (List.equal (fun a b -> Dep.compare a b = 0) ua ub) then
+        QCheck2.Test.fail_reportf "%s: unsatisfied sets differ" what
   | Inl.Legality.Illegal ra, Inl.Legality.Illegal rb ->
       if not (String.equal ra rb) then
         QCheck2.Test.fail_reportf "%s: offenders differ: %s vs %s" what ra rb
@@ -214,6 +217,213 @@ let delta_property =
     (QCheck2.Test.make ~name:"delta legality agrees with the full check" ~count:25
        QCheck2.Gen.(pair (int_bound 4) (int_bound 23))
        delta_prop)
+
+(* ---- structural memo keys draw the lines the printed keys drew ---- *)
+
+(* [keys] pairs each structural key with the printed key it replaced:
+   two keys must be equal exactly when their printed keys are, and equal
+   keys must hash alike. *)
+let same_lines ~what ~equal ~hash keys =
+  List.iter
+    (fun (k, p) ->
+      List.iter
+        (fun (k', p') ->
+          let se = equal k k' and pe = String.equal p p' in
+          if se <> pe then
+            QCheck2.Test.fail_reportf "%s: structural %b, printed %b:\n%s\n%s" what se pe p p';
+          if se && hash k <> hash k' then QCheck2.Test.fail_reportf "%s: %s hashes apart" what p)
+        keys)
+    keys
+
+(* The exact rendering of a dependence the printed verdict and
+   completion keys embedded. *)
+let dep_id (d : Dep.t) =
+  let bound = function
+    | Inl_presburger.Interval.NegInf -> "-inf"
+    | PosInf -> "+inf"
+    | Fin z -> Mpz.to_string z
+  in
+  Printf.sprintf "%s>%s:%s:%s:%s%c%s" d.Dep.src d.Dep.dst d.Dep.array
+    (Dep.kind_to_string d.Dep.kind) (Dep.level_to_string d.Dep.level)
+    (if d.Dep.approximate then '~' else '=')
+    (String.concat ""
+       (Array.to_list
+          (Array.map
+             (fun (iv : Inl_presburger.Interval.t) -> bound iv.lo ^ "," ^ bound iv.hi ^ ";")
+             d.Dep.vector)))
+
+let printed_rows rows =
+  String.concat "/" (List.map (fun r -> String.concat "," (List.map string_of_int r)) rows)
+
+(* The verdict keys of one candidate, built as Legality builds them,
+   with the process-wide tier's old printed key and the per-search
+   tier's old structural key (the dependence, Mpz rows, the order). *)
+let verdict_keys (ctx : Inl.context) m =
+  match Inl.Blockstruct.infer ctx.Inl.layout m with
+  | Error _ -> []
+  | Ok st ->
+      let layout = ctx.Inl.layout in
+      List.map
+        (fun (d : Dep.t) ->
+          let si = Layout.stmt_info layout d.Dep.src and di = Layout.stmt_info layout d.Dep.dst in
+          let commons =
+            List.sort compare
+              (List.map
+                 (Array.get st.Inl.Blockstruct.old_to_new)
+                 (Layout.common_loop_positions layout si di))
+          in
+          let precedes =
+            String.equal d.Dep.src d.Dep.dst
+            || Ast.syntactic_compare
+                 (Inl.Blockstruct.map_path st si.Layout.path)
+                 (Inl.Blockstruct.map_path st di.Layout.path)
+               < 0
+          in
+          let rows = List.map (Mat.row m) commons in
+          let printed =
+            dep_id d
+            ^ (if precedes then "<" else "|")
+            ^ String.concat ""
+                (List.map
+                   (fun r ->
+                     String.concat "" (List.map (fun x -> Mpz.to_string x ^ ",") (Array.to_list r))
+                     ^ "/")
+                   rows)
+          in
+          ( {
+              Inl.Legality.Key.k_dep = d;
+              k_dep_hash = Hashtbl.hash d;
+              k_rows = Array.concat (List.map Vec.to_int_array rows);
+              k_src_precedes = precedes;
+            },
+            (printed, (d, rows, precedes)) ))
+        ctx.Inl.deps
+
+(* Candidates of one fuzz program: step chains of one and two moves (the
+   reorders among them flip endpoint orders), and the completion seeds. *)
+let candidates (seed, index) =
+  let prog, _ = Gen.case ~seed ~index in
+  let ctx = Inl.analyze prog in
+  let first k l = List.filteri (fun i _ -> i < k) l in
+  let all = Moves.enumerate prog in
+  let moves = first 6 all @ first 3 (List.filter (fun mv -> fst (List.hd mv) = "reorder") all) in
+  let pairs = List.concat_map (fun a -> List.map (fun b -> a @ b) moves) (first 2 moves) in
+  let chains = ([] :: moves) @ pairs in
+  let steps =
+    List.filter_map
+      (fun steps ->
+        match Tf.materialize ctx { Tf.steps; partial = []; edits = [] } with
+        | Ok m -> Some (steps, m)
+        | Error _ -> None)
+      chains
+  in
+  let partials =
+    List.map
+      (fun row -> [ Array.to_list (Vec.to_int_array row) ])
+      (Inl.Completion.seed_rows ctx.Inl.layout)
+  in
+  (ctx, steps, partials)
+
+let keys_prop (seed, index) =
+  let cases = [ candidates (seed, index); candidates (seed, (index + 1) mod 24) ] in
+  (* a fresh identity per candidate, as each search makes its own *)
+  let id (ctx : Inl.context) = Search.Key.prog_id (Inl.Pp.program_to_string ctx.Inl.program) in
+  let text (ctx : Inl.context) = Inl.Pp.program_to_string ctx.Inl.program in
+  let deps (ctx : Inl.context) = String.concat "&" (List.map dep_id ctx.Inl.deps) in
+  let key ?(steps = []) ?(rows = [||]) prog =
+    { Search.Key.k_prog = prog; k_steps = steps; k_rows = rows }
+  in
+  let rows m = Array.map Vec.to_int_array m in
+  let each f = List.concat_map f cases in
+  let search_lines what = same_lines ~what ~equal:Search.Key.equal ~hash:Search.Key.hash in
+  search_lines "pipe"
+    (each (fun (ctx, steps, _) ->
+         List.map
+           (fun (s, _) ->
+             ( key ~steps:s (id ctx),
+               Printf.sprintf "pipe|%s|%s" (text ctx)
+                 (String.concat ";" (List.map (fun (k, v) -> k ^ " " ^ v) s)) ))
+           steps));
+  search_lines "sig"
+    (each (fun (ctx, steps, _) ->
+         List.map
+           (fun (_, m) ->
+             ( key ~rows:(rows m) (id ctx),
+               Printf.sprintf "sig|%s|%s" (text ctx) (printed_rows (Mat.to_int_lists m)) ))
+           steps));
+  (* the duplicate filter is per search: one program, one identity *)
+  List.iter
+    (fun (ctx, steps, _) ->
+      let prog = id ctx in
+      search_lines "seen"
+        (List.map
+           (fun (_, m) -> (key ~rows:(rows m) prog, printed_rows (Mat.to_int_lists m)))
+           steps))
+    cases;
+  search_lines "complete"
+    (each (fun (ctx, _, partials) ->
+         let prog =
+           Search.Key.prog_id (text ctx ^ Marshal.to_string ctx.Inl.deps [ Marshal.No_sharing ])
+         in
+         List.map
+           (fun partial ->
+             ( key ~rows:(Array.of_list (List.map Array.of_list partial)) prog,
+               Printf.sprintf "complete|%s|%s|%s" (text ctx) (deps ctx)
+                 (Tf.to_string { Tf.steps = []; partial; edits = [] }) ))
+           partials));
+  (* both verdict tiers: the printed process-wide key and the structural
+     per-search key it sat behind *)
+  let verdicts =
+    each (fun (ctx, steps, _) -> List.concat_map (fun (_, m) -> verdict_keys ctx m) steps)
+  in
+  same_lines ~what:"legality memo" ~equal:Inl.Legality.Key.equal ~hash:Inl.Legality.Key.hash
+    (List.map (fun (k, (p, _)) -> (k, p)) verdicts);
+  List.iter
+    (fun (k, (_, old)) ->
+      List.iter
+        (fun (k', (_, old')) ->
+          if Inl.Legality.Key.equal k k' <> (compare old old' = 0) then
+            QCheck2.Test.fail_reportf "legality cache: the structural keys disagree")
+        verdicts)
+    verdicts;
+  true
+
+let keys_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"structural memo keys match the printed ones" ~count:12
+       QCheck2.Gen.(pair (int_bound 4) (int_bound 23))
+       keys_prop)
+
+(* lu_pivot: 8 layout columns, so the search runs widened (beam 12,
+   depth 4) and deep step chains fill the memos *)
+let lu_pivot =
+  {|params N
+do K = 1..N
+  S1: P(K) = A(K,K)
+  do I = K+1..N
+    S2: P(K) = P(K) + A(I,K)
+    S3: A(I,K) = A(I,K) / P(K)
+    do J = K+1..N
+      S4: A(I,J) = A(I,J) - A(I,K) * A(K,J)
+    enddo
+  enddo
+enddo
+|}
+
+let test_cold_warm_identical () =
+  let ctx = Inl.analyze (parse lu_pivot) in
+  Alcotest.(check int) "eight columns" 8 (Layout.size ctx.Inl.layout);
+  let config = Search.config_for ~base:tiny ctx in
+  Memo.clear_all ();
+  let cold = Search.optimize ~config ctx in
+  let hits_before = (Search.mat_cache_stats ()).Memo.hits in
+  let warm = Search.optimize ~config ctx in
+  Alcotest.(check bool) "the warm search read the memos" true
+    ((Search.mat_cache_stats ()).Memo.hits > hits_before);
+  Alcotest.(check bool) "entries" true (cold.Search.entries = warm.Search.entries);
+  Alcotest.(check bool) "winner" true (cold.Search.winner = warm.Search.winner);
+  Alcotest.(check bool) "funnel" true (cold.Search.funnel = warm.Search.funnel);
+  Alcotest.(check string) "rendered" (render cold) (render warm)
 
 (* ---- the --no-cache contract and the memo registry ---- *)
 
@@ -312,6 +522,7 @@ let () =
             test_optimize_deterministic_across_jobs;
           Alcotest.test_case "--no-cache bypasses the memos" `Quick test_no_cache_bypasses_memos;
           Alcotest.test_case "memo registry" `Quick test_memo_registry;
+          Alcotest.test_case "cold and warm memos agree" `Quick test_cold_warm_identical;
         ] );
-      ("property", [ delta_property; winner_property ]);
+      ("property", [ delta_property; keys_property; winner_property ]);
     ]
