@@ -255,10 +255,6 @@ let delta_inherited = Atomic.make 0
 let delta_checked = Atomic.make 0
 let delta_stats () = (Atomic.get delta_inherited, Atomic.get delta_checked)
 
-let reset_delta_stats () =
-  Atomic.set delta_inherited 0;
-  Atomic.set delta_checked 0
-
 let check_env ?cache ?parent ?rows (env : env) (m : Mat.t) : verdict * summary option =
   match Blockstruct.infer env.e_layout m with
   | Error msg -> (Illegal ("block structure: " ^ msg), None)

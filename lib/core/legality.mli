@@ -110,6 +110,4 @@ val clear_memo : unit -> unit
 
 val delta_stats : unit -> int * int
 (** [(inherited, checked)] verdict counts over all {!check_env} calls
-    since the last {!reset_delta_stats}. *)
-
-val reset_delta_stats : unit -> unit
+    since start. *)

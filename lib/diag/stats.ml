@@ -37,11 +37,6 @@ let counters () =
   Mutex.protect lock (fun () ->
       Hashtbl.fold (fun name c acc -> (name, !c) :: acc) counters_tbl [] |> List.sort compare)
 
-let reset () =
-  Mutex.protect lock (fun () ->
-      Hashtbl.reset phases_tbl;
-      Hashtbl.reset counters_tbl)
-
 (* Per-request scoping for the serve daemon: totals are cumulative for
    the life of the process, so a request's own consumption is the delta
    between two snapshots.  Snapshots are plain assoc lists taken under

@@ -1,6 +1,6 @@
 (** Process-wide wall-time accounting per pipeline phase, feeding
-    [inltool --stats] and the solver benchmark.  Thread-safe (one mutex);
-    timings are cumulative until {!reset}. *)
+    [inltool --stats] and serve's per-request statistics.  Thread-safe
+    (one mutex); timings are cumulative for the life of the process. *)
 
 val timed : string -> (unit -> 'a) -> 'a
 (** [timed phase f] runs [f], charging its wall time to [phase] (also on
@@ -20,9 +20,6 @@ val count : string -> int -> unit
 
 val counters : unit -> (string * int) list
 (** All event counters, sorted by name. *)
-
-val reset : unit -> unit
-(** Clear both the phase timings and the event counters. *)
 
 type snapshot
 (** A point-in-time copy of every phase timing and counter. *)

@@ -80,8 +80,6 @@ type report = {
   notes : Diag.t list;  (** [X901]/[X902] warnings, [X903] info *)
 }
 
-val speedup : report -> float
-
 val benchmark :
   ?jobs:int ->
   ?repeat:int ->

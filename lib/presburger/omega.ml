@@ -38,10 +38,6 @@ let project_calls = Atomic.make 0
 
 let solver_calls () = (Atomic.get sat_calls, Atomic.get project_calls)
 
-let reset_solver_calls () =
-  Atomic.set sat_calls 0;
-  Atomic.set project_calls 0
-
 let new_analysis ?budget () =
   Faults.reset_counters ();
   {

@@ -77,8 +77,8 @@ val clear_cache : unit -> unit
 
 val cache_snapshot : unit -> string
 (** {!Cache.export} of the process-wide projection cache — the payload
-    the serve daemon checkpoints so the BENCH_solver 3x warm-cache win
-    survives a restart. *)
+    the serve daemon checkpoints so its warm cache survives a
+    restart. *)
 
 val cache_restore : string -> (int, string) result
 (** {!Cache.import} into the process-wide cache; [Ok n] is the number of
@@ -86,10 +86,8 @@ val cache_restore : string -> (int, string) result
 
 val solver_calls : unit -> int * int
 (** Cumulative [(satisfiable, project)] entry-point call counts since
-    start or {!reset_solver_calls} ([satisfiable] calls also count as
-    [project] calls — satisfiability is projection onto no variables). *)
-
-val reset_solver_calls : unit -> unit
+    start ([satisfiable] calls also count as [project] calls —
+    satisfiability is projection onto no variables). *)
 
 val fresh_var : unit -> string
 (** Fresh auxiliary variable name (reserved ["$w%d"] namespace) from the

@@ -256,9 +256,9 @@ let materialize_steps ~(prog : Key.prog_id) (ctx : Inl.context) (steps : (string
    simulation depends on (program text, parameter bindings, cache
    geometry, array extents, step bound), so a hit is bit-identical to a
    recompute and the tables are safe to share across worker domains and
-   across searches — a re-search of a known program (the benchmark's
-   second pass, the serve daemon) skips straight past interpretation.
-   Failed simulations are never stored. *)
+   across searches — a re-search of a known program (inlbench's
+   optimize-warm workload, the serve daemon) skips straight past
+   interpretation.  Failed simulations are never stored. *)
 let sim_memo : Cachesim.stats Memo.t = Memo.create ~name:"sim memo" ~max_entries:512 ()
 
 let arrays_memo : (string * int list) list Memo.t =

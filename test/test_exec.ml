@@ -9,7 +9,8 @@
      {1, 2, 4}, parallel execution under the chosen plan produces a
      store byte-identical to the sequential interpreter's — and when it
      cannot (no DOALL dimension), the sequential fallback does;
-   - benchmark reports: the differential gate ran, labels are stable
+   - benchmark reports: the differential gate ran, labels, plans and
+     DOALL/loop counts of six pinned (kernel, schedule) rows are stable
      and wall-time-free, degradations carry their codes. *)
 
 module Ast = Inl_ir.Ast
@@ -30,6 +31,26 @@ let seidel1d =
   \    S1: A(I) = A(I-1) + A(I) + A(I+1)\n\
   \  enddo\n\
    enddo\n"
+
+let jacobi1d =
+  "params T\n\
+   params N\n\
+   do K = 1..T\n\
+  \  do I = 2..N-1\n\
+  \    S1: A(K,I) = A(K-1,I-1) + A(K-1,I) + A(K-1,I+1)\n\
+  \  enddo\n\
+   enddo\n"
+
+(* skew the space loop by twice the time loop, then interchange *)
+let wavefront = [ ("skew", "I,K,2"); ("interchange", "K,I") ]
+
+(* a recipe goes through materialize + transform, whose code renames
+   loops t1..tn *)
+let transformed ?(steps = []) ?(partial = []) src =
+  let ctx = Inl.analyze_source src in
+  match Inl_fuzz.Tf.materialize ctx { Inl_fuzz.Tf.steps; partial; edits = [] } with
+  | Ok mat -> Inl.transform_exn ctx mat
+  | Error m -> Alcotest.failf "recipe does not materialize: %s" m
 
 (* ---- plan choice ---- *)
 
@@ -110,16 +131,7 @@ let test_wavefront_executes_parallel () =
   (* seidel1d has no DOALL dimension as written; skewing time into
      space by 2 and interchanging makes the inner loop parallel — the
      compound move lib/search enumerates, executed for real here *)
-  let ctx = Inl.analyze_source seidel1d in
-  let tf =
-    { Inl_fuzz.Tf.steps = [ ("skew", "I,K,2"); ("interchange", "K,I") ]; partial = []; edits = [] }
-  in
-  let mat =
-    match Inl_fuzz.Tf.materialize ctx tf with
-    | Ok m -> m
-    | Error m -> Alcotest.failf "wavefront does not materialize: %s" m
-  in
-  let prog = Inl.transform_exn ctx mat in
+  let prog = transformed ~steps:wavefront seidel1d in
   let params = [ ("T", 6); ("N", 9) ] in
   (match Exec.choose (Exec.analyze prog) with
   | Exec.Par { depth; _ } -> Alcotest.(check int) "inner loop parallel" 1 depth
@@ -130,20 +142,49 @@ let test_wavefront_executes_parallel () =
 
 (* ---- benchmark reports ---- *)
 
+(* One row per (kernel, schedule) pair the exec runtime is pinned on:
+   label, plan, DOALL count and loop count are structural, never wall
+   time, so they hold at any size.  The cholesky winner is the one
+   test/search.t pins for its small fixed-seed search. *)
+let exec_rows () =
+  [
+    ("cholesky/identity", parse Px.cholesky_kji, ("ok:doall=I", "par:I", 3, 4));
+    ( "cholesky/complete row=[0,0,0,0,1,0,0]",
+      transformed ~partial:[ [ 0; 0; 0; 0; 1; 0; 0 ] ] Px.cholesky_kji,
+      ("ok:doall=t3", "par:t3", 3, 5) );
+    ("jacobi1d/identity", parse jacobi1d, ("ok:doall=I", "par:I", 1, 2));
+    ( "jacobi1d/wavefront(f=2)",
+      transformed ~steps:wavefront jacobi1d,
+      ("ok:doall=t2", "par:t2", 1, 2) );
+    ("seidel1d/identity", parse seidel1d, ("degraded:X901", "seq", 0, 2));
+    ( "seidel1d/wavefront(f=2)",
+      transformed ~steps:wavefront seidel1d,
+      ("ok:doall=t2", "par:t2", 1, 2) );
+  ]
+
 let test_benchmark_report () =
-  let prog = parse Px.cholesky_kji in
-  match Exec.benchmark ~jobs:2 ~repeat:1 prog ~params:[ ("N", 6) ] with
-  | Error ds -> Alcotest.failf "benchmark refused: %s" (Diag.list_to_string ds)
-  | Ok r ->
-      Alcotest.(check int) "loops counted" 4 r.Exec.loops;
-      Alcotest.(check int) "three doall dimensions" 3 (Exec.doall_count r.Exec.doall);
-      Alcotest.(check string) "stable label" "ok:doall=I" (Exec.label (Ok r));
-      Alcotest.(check bool) "store non-empty" true (r.Exec.cells > 0);
-      Alcotest.(check bool) "timings measured" true (r.Exec.seq_ms >= 0. && r.Exec.par_ms >= 0.);
-      let lines = Exec.render ~timings:false r in
-      Alcotest.(check int) "render shape" 5 (List.length lines);
-      Alcotest.(check bool) "masked render is wall-time-free" true
-        (List.for_all (fun l -> not (String.contains l '.')) lines)
+  List.iter
+    (fun (name, prog, (label, plan, doall, loops)) ->
+      let params = List.map (fun p -> (p, 8)) prog.Ast.params in
+      let result = Exec.benchmark ~jobs:2 ~repeat:1 prog ~params in
+      Alcotest.(check string) (name ^ ": label") label (Exec.label result);
+      match result with
+      | Error ds -> Alcotest.failf "%s: benchmark refused: %s" name (Diag.list_to_string ds)
+      | Ok r ->
+          let got_plan =
+            match Exec.plan_var r.Exec.plan with Some v -> "par:" ^ v | None -> "seq"
+          in
+          Alcotest.(check string) (name ^ ": plan") plan got_plan;
+          Alcotest.(check int) (name ^ ": doall loops") doall (Exec.doall_count r.Exec.doall);
+          Alcotest.(check int) (name ^ ": loops") loops r.Exec.loops;
+          Alcotest.(check bool) (name ^ ": store non-empty") true (r.Exec.cells > 0);
+          Alcotest.(check bool) (name ^ ": timings measured") true
+            (r.Exec.seq_ms >= 0. && r.Exec.par_ms >= 0.);
+          let lines = Exec.render ~timings:false r in
+          Alcotest.(check int) (name ^ ": render shape") 5 (List.length lines);
+          Alcotest.(check bool) (name ^ ": masked render is wall-time-free") true
+            (List.for_all (fun l -> not (String.contains l '.')) lines))
+    (exec_rows ())
 
 let test_benchmark_degrades () =
   let prog = parse seidel1d in

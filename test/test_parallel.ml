@@ -9,9 +9,10 @@
      (it is the cache key, so this is the cache's soundness), and cached
      projection/satisfiability answers are structurally identical to
      uncached ones.
-   - Determinism: the rendered output of the full pipeline (deps,
-     legality, completion, codegen, verify) is byte-identical with the
-     cache on or off and with jobs 1 or 4. *)
+   - Determinism: the rendered output of the full pipeline (deps, the
+     legality verdict of the paper's corrected C, completion, codegen,
+     verify) is byte-identical with the cache on or off and with jobs 1
+     or 4. *)
 
 module Mpz = Inl_num.Mpz
 module Linexpr = Inl_presburger.Linexpr
@@ -194,10 +195,20 @@ let props =
 (* ---- end-to-end determinism ---- *)
 
 (* Render everything observable the pipeline produces for a kernel. *)
-let render_kernel buf src partial =
+let render_kernel ?check buf src partial =
   let ctx = Inl.analyze_source src in
   List.iter (fun d -> Buffer.add_string buf (Format.asprintf "%a\n" Dep.pp d)) ctx.Inl.deps;
   List.iter (fun d -> Buffer.add_string buf (Inl.Diag.to_string d ^ "\n")) ctx.Inl.diags;
+  Option.iter
+    (fun rows ->
+      match Inl.check ctx (Mat.of_int_lists rows) with
+      | Inl.Legality.Legal { unsatisfied; _ } ->
+          Buffer.add_string buf "legal; unsatisfied:\n";
+          List.iter
+            (fun d -> Buffer.add_string buf (Format.asprintf "  %a\n" Dep.pp d))
+            unsatisfied
+      | Inl.Legality.Illegal msg -> Buffer.add_string buf ("illegal: " ^ msg ^ "\n"))
+    check;
   match partial with
   | None -> ()
   | Some rows -> (
@@ -217,7 +228,7 @@ let render_kernel buf src partial =
 let render_all () =
   let buf = Buffer.create 4096 in
   render_kernel buf Px.simplified_cholesky (Some [ [ 0; 0; 0; 1 ] ]);
-  render_kernel buf Px.cholesky (Some [ [ 0; 0; 0; 0; 0; 1; 0 ] ]);
+  render_kernel ~check:Px.corrected_c_rows buf Px.cholesky (Some [ [ 0; 0; 0; 0; 0; 1; 0 ] ]);
   render_kernel buf Px.lu None;
   Buffer.contents buf
 
