@@ -8,6 +8,12 @@
      inltool verify FILE          static lint + DOALL analysis
                                   (--against SRC adds translation validation)
      inltool run FILE -N n        interpret and dump the final store
+                                  (--threads J executes the DOALL schedule)
+     inltool analyze FILE --reuse static reuse (locality) report
+     inltool optimize FILE        search for a locality-optimized loop order
+     inltool fuzz                 differential fuzzing campaign / replay
+     inltool corpus MANIFEST      crash-tolerant bulk optimize + drift guard
+     inltool serve                JSON-lines optimization daemon
 
    Transformations compose left to right:
      inltool apply chol.loop --reorder 0:1,0 --interchange I,J --verify 6
@@ -34,20 +40,18 @@ module Faults = Inl.Faults
 module Sigint = Inl_diag.Sigint
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let print_diags ds = List.iter (fun d -> prerr_endline (Diag.to_string d)) ds
+
+(* Print the diagnostics of a failed step; exit code 1. *)
+let fail ds =
+  print_diags ds;
+  1
 
 (* Loading untrusted input must end in a typed diagnostic, never an
    uncaught backtrace: I/O failures and anything unexpected the parser
    or analyzer lets slip become D704 driver errors (exit 1). *)
-let load path =
-  match Inl.analyze_source_result (read_file path) with
+let load_with (f : string -> ('a, Diag.t list) result) path =
+  match f (In_channel.with_open_bin path In_channel.input_all) with
   | result -> result
   | exception Sys_error msg -> Error [ Diag.error ~code:"D704" ~phase:Diag.Driver msg ]
   | exception e ->
@@ -56,6 +60,15 @@ let load path =
           Diag.errorf ~code:"D704" ~phase:Diag.Driver "unexpected failure loading %s: %s" path
             (Printexc.to_string e);
         ]
+
+let load = load_with (fun src -> Inl.analyze_source_result src)
+
+(* Parse without building a Layout: the verifier and the interpreter
+   accept arbitrary program shapes — in particular codegen output. *)
+let parse_only = load_with Inl.parse
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
 
 (* ---- common arguments: resource budget and fault injection ---- *)
 
@@ -121,29 +134,6 @@ let stats_arg =
            rate, or $(b,disabled) under $(b,--no-cache)), wall time per phase and the \
            search counters.")
 
-(* Install budget, parallelism, cache and fault configuration; an
-   unparsable fault spec is a driver error.  Returns whether a stats
-   report was requested. *)
-let setup budget faults jobs no_cache stats : (bool, Diag.t list) result =
-  (match budget with
-  | None -> Inl.Omega.set_default_budget Budget.default
-  | Some n -> Inl.Omega.set_default_budget (Budget.with_fm_work Budget.default n));
-  (match jobs with None -> () | Some n -> Inl.Pool.set_jobs n);
-  Memo.set_all_enabled (not no_cache);
-  match faults with
-  | None ->
-      Faults.install Faults.none;
-      Ok stats
-  | Some spec -> (
-      match Faults.parse spec with
-      | Ok f ->
-          Faults.install f;
-          Ok stats
-      | Error msg -> Error [ Diag.error ~code:"D701" ~phase:Diag.Driver msg ])
-
-let setup_term =
-  Term.(const setup $ budget_arg $ faults_arg $ jobs_arg $ no_cache_arg $ stats_arg)
-
 (* The --stats report: everything needed to judge whether the memoized,
    parallel solver core is earning its keep. *)
 let report_stats () =
@@ -168,26 +158,41 @@ let report_stats () =
     (fun (name, n) -> Printf.eprintf "counter %-24s %8d\n" name n)
     (Inl.Stats.counters ())
 
-(* Print the report (when requested) without disturbing the exit code. *)
-let finish stats code =
-  if stats then report_stats ();
-  code
+(* The setup scaffold every command runs in: install budget,
+   parallelism, cache and fault configuration, then hand the command a
+   runner.  An unparsable fault spec refuses the command (D701, exit 1);
+   otherwise the runner runs the command body — an output file it cannot
+   write is a D704 error, not an uncaught exception — and, when --stats
+   was given, prints the report after it without disturbing the exit
+   code. *)
+let setup budget faults jobs no_cache stats : (unit -> int) -> int =
+  Budget.install
+    (match budget with None -> Budget.default | Some n -> Budget.with_fm_work Budget.default n);
+  (match jobs with None -> () | Some n -> Inl.Pool.set_jobs n);
+  Memo.set_all_enabled (not no_cache);
+  match Option.fold ~none:(Ok Faults.none) ~some:Faults.parse faults with
+  | Error msg -> fun _ -> fail [ Diag.error ~code:"D701" ~phase:Diag.Driver msg ]
+  | Ok f ->
+      Faults.install f;
+      fun body ->
+        let code =
+          try body () with Sys_error msg -> fail [ Diag.error ~code:"D704" ~phase:Diag.Driver msg ]
+        in
+        if stats then report_stats ();
+        code
 
-(* Shared driver scaffold: run [f ctx] after setup + load, merging exit
-   codes (errors dominate, then degradation). *)
-let with_context common file (f : Inl.context -> int) : int =
-  match common with
-  | Error ds ->
-      print_diags ds;
-      1
-  | Ok stats -> (
+let setup_term =
+  Term.(const setup $ budget_arg $ faults_arg $ jobs_arg $ no_cache_arg $ stats_arg)
+
+(* [setup] plus load: run [f ctx], merging exit codes (errors dominate,
+   then degradation). *)
+let with_context setup file (f : Inl.context -> int) : int =
+  setup (fun () ->
       match load file with
-      | Error ds ->
-          print_diags ds;
-          1
+      | Error ds -> fail ds
       | Ok ctx ->
           let code = f ctx in
-          finish stats (if code = 0 then Diag.exit_code ctx.Inl.diags else code))
+          if code = 0 then Diag.exit_code ctx.Inl.diags else code)
 
 let file_arg = Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"FILE")
 
@@ -195,19 +200,22 @@ let file_arg = Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"F
    degradation, then clean. *)
 let merge_code a b = if a = 1 || b = 1 then 1 else max a b
 
+(* Render a translation-validation verdict; returns its exit code. *)
+let render_verdict = function
+  | Verify.Failed -> 1
+  | Verify.Incomplete ->
+      Printf.printf "\nstatic verification incomplete (see warnings)\n";
+      2
+  | Verify.Verified ->
+      Printf.printf "\nstatically verified: instance sets and dependence order preserved\n";
+      0
+
 (* Static post-pass behind --check: translation validation of the
    generated program against the analyzed source. *)
 let run_check (ctx : Inl.context) (prog : Inl.Ast.program) : int =
   let report = Verify.run ~against:ctx.Inl.program prog in
-  let ds = Verify.diags report in
-  print_diags ds;
-  if Diag.has_errors ds then 1
-  else if Diag.has_warnings ds then (
-    Printf.printf "\nstatic verification incomplete (see warnings)\n";
-    2)
-  else (
-    Printf.printf "\nstatically verified: instance sets and dependence order preserved\n";
-    0)
+  print_diags (Verify.diags report);
+  render_verdict (Verify.verdict report)
 
 let nparam =
   Arg.(value & opt int 6 & info [ "N"; "size" ] ~docv:"N" ~doc:"Value for the size parameter N.")
@@ -215,8 +223,8 @@ let nparam =
 (* ---- show ---- *)
 
 let show_cmd =
-  let run common file =
-    with_context common file (fun ctx ->
+  let run setup file =
+    with_context setup file (fun ctx ->
         Format.printf "%s@." (Inl.Pp.program_to_string ctx.Inl.program);
         Format.printf "@.instance-vector positions:@.%a@." Inl.Layout.pp_positions ctx.Inl.layout;
         List.iter
@@ -234,8 +242,8 @@ let show_cmd =
 (* ---- deps ---- *)
 
 let deps_cmd =
-  let run common file =
-    with_context common file (fun ctx ->
+  let run setup file =
+    with_context setup file (fun ctx ->
         Format.printf "%a@." Inl.Dep.pp_matrix ctx.Inl.deps;
         List.iter (fun d -> Format.printf "%a@." Inl.Dep.pp d) ctx.Inl.deps;
         print_diags ctx.Inl.diags;
@@ -297,14 +305,13 @@ let check_flag =
            dependence-order preservation plus the well-formedness lint (exit 1 on a \
            verification error, 2 when a check degraded under the resource budget).")
 
-(* The shared back half of `apply`: a materialized total matrix goes
+(* The shared back half of `apply` and `complete`: a total matrix goes
    through legality + codegen, then the optional post-passes. *)
-let apply_matrix ctx ~no_simplify ~verify ~check (total : Inl.Mat.t) : int =
-  Format.printf "transformation matrix:@.%a@.@." Inl.Mat.pp total;
+let apply_matrix ctx ?(title = "transformation matrix") ?(no_simplify = false) ~verify ~check
+    (total : Inl.Mat.t) : int =
+  Format.printf "%s:@.%a@.@." title Inl.Mat.pp total;
   match Inl.transform ctx ~simplify:(not no_simplify) total with
-  | Error ds ->
-      print_diags (ctx.Inl.diags @ ds);
-      1
+  | Error ds -> fail (ctx.Inl.diags @ ds)
   | Ok prog ->
       Format.printf "%s@." (Inl.Pp.program_to_string prog);
       print_diags ctx.Inl.diags;
@@ -316,7 +323,7 @@ let apply_matrix ctx ~no_simplify ~verify ~check (total : Inl.Mat.t) : int =
    fuzz quarantine pairs and search winners.  Malformed or mismatched
    recipes are typed D705 driver errors, never backtraces. *)
 let materialize_recipe ctx path : (Inl.Mat.t, Diag.t list) result =
-  match Inl_fuzz.Tf.of_string (read_file path) with
+  match Inl_fuzz.Tf.of_string (In_channel.with_open_bin path In_channel.input_all) with
   | Error msg ->
       Error [ Diag.errorf ~code:"D705" ~phase:Diag.Driver "malformed recipe %s: %s" path msg ]
   | exception Sys_error msg -> Error [ Diag.error ~code:"D704" ~phase:Diag.Driver msg ]
@@ -338,9 +345,9 @@ let materialize_recipe ctx path : (Inl.Mat.t, Diag.t list) result =
             ])
 
 let apply_cmd =
-  let run common file recipe interchanges reverses scales skews aligns reorders no_simplify
+  let run setup file recipe interchanges reverses scales skews aligns reorders no_simplify
       verify check =
-    with_context common file (fun ctx ->
+    with_context setup file (fun ctx ->
         let step_groups =
           [
             ("interchange", interchanges);
@@ -353,32 +360,23 @@ let apply_cmd =
         in
         match recipe with
         | Some path when List.exists (fun (_, specs) -> specs <> []) step_groups ->
-            print_diags
+            fail
               [
                 Diag.errorf ~code:"D703" ~phase:Diag.Driver
                   "--recipe %s cannot be combined with step options" path;
-              ];
-            1
+              ]
         | Some path -> (
             match materialize_recipe ctx path with
-            | Error ds ->
-                print_diags ds;
-                1
+            | Error ds -> fail ds
             | Ok total -> apply_matrix ctx ~no_simplify ~verify ~check total)
         | None -> (
             match collect_steps step_groups with
-            | Error ds ->
-                print_diags ds;
-                1
+            | Error ds -> fail ds
             | Ok [] ->
-                print_diags
-                  [ Diag.error ~code:"D703" ~phase:Diag.Driver "no transformation steps given" ];
-                1
+                fail [ Diag.error ~code:"D703" ~phase:Diag.Driver "no transformation steps given" ]
             | Ok steps -> (
                 match Inl.pipeline ctx steps with
-                | Error ds ->
-                    print_diags (ctx.Inl.diags @ ds);
-                    1
+                | Error ds -> fail (ctx.Inl.diags @ ds)
                 | Ok total -> apply_matrix ctx ~no_simplify ~verify ~check total)))
   in
   let no_simplify =
@@ -412,8 +410,8 @@ let apply_cmd =
 (* ---- complete ---- *)
 
 let complete_cmd =
-  let run common file rows verify check =
-    with_context common file (fun ctx ->
+  let run setup file rows verify check =
+    with_context setup file (fun ctx ->
         match
           List.map
             (fun spec ->
@@ -428,28 +426,11 @@ let complete_cmd =
               | ints -> Inl.Vec.of_int_list ints)
             rows
         with
-        | exception Bad_step msg ->
-            print_diags [ Diag.error ~code:"D702" ~phase:Diag.Driver msg ];
-            1
+        | exception Bad_step msg -> fail [ Diag.error ~code:"D702" ~phase:Diag.Driver msg ]
         | partial -> (
             match Inl.complete_result ctx ~partial with
-            | Error ds ->
-                print_diags (ctx.Inl.diags @ ds);
-                1
-            | Ok m -> (
-                Format.printf "completed matrix:@.%a@.@." Inl.Mat.pp m;
-                match Inl.transform ctx m with
-                | Error ds ->
-                    print_diags (ctx.Inl.diags @ ds);
-                    1
-                | Ok prog ->
-                    Format.printf "%s@." (Inl.Pp.program_to_string prog);
-                    print_diags ctx.Inl.diags;
-                    let check_code = if check then run_check ctx prog else 0 in
-                    let verify_code =
-                      match verify with None -> 0 | Some n -> run_interp_verify ctx prog n
-                    in
-                    merge_code check_code verify_code)))
+            | Error ds -> fail (ctx.Inl.diags @ ds)
+            | Ok m -> apply_matrix ctx ~title:"completed matrix" ~verify ~check m))
   in
   let rows =
     Arg.(value & opt_all string [] & info [ "row" ] ~docv:"a,b,..." ~doc:"A partial matrix row (repeatable; the first rows of the target matrix).")
@@ -463,43 +444,19 @@ let complete_cmd =
 
 (* ---- verify ---- *)
 
-(* Parse without building a Layout: the verifier is meant for arbitrary
-   program shapes — in particular codegen output, whose If/Let nodes the
-   instance-vector layout rejects by design. *)
-let parse_only path : (Inl.Ast.program, Diag.t list) result =
-  match Inl.Parser.parse (read_file path) with
-  | Ok prog -> Ok prog
-  | Error msg -> Error [ Diag.error ~code:"P101" ~phase:Diag.Parse msg ]
-  | exception Sys_error msg -> Error [ Diag.error ~code:"D704" ~phase:Diag.Driver msg ]
-  | exception e ->
-      Error
-        [
-          Diag.errorf ~code:"D704" ~phase:Diag.Driver "unexpected failure loading %s: %s" path
-            (Printexc.to_string e);
-        ]
-
 let verify_cmd =
-  let run common file against =
-    match common with
-    | Error ds ->
-        print_diags ds;
-        1
-    | Ok stats -> (
+  let run setup file against =
+    setup (fun () ->
         match parse_only file with
-        | Error ds ->
-            print_diags ds;
-            1
+        | Error ds -> fail ds
         | Ok prog -> (
             let source =
               match against with
               | None -> Ok None
-              | Some src -> (
-                  match parse_only src with Ok p -> Ok (Some p) | Error ds -> Error ds)
+              | Some src -> Result.map Option.some (parse_only src)
             in
             match source with
-            | Error ds ->
-                print_diags ds;
-                1
+            | Error ds -> fail ds
             | Ok source ->
                 let report = Verify.run ?against:source prog in
                 print_endline (Verify.annotated prog report.Verify.loops);
@@ -507,14 +464,8 @@ let verify_cmd =
                 List.iter print_endline (Verify.loop_summary report.Verify.loops);
                 let ds = Verify.diags report in
                 print_diags ds;
-                (if not (Diag.has_errors ds) then
-                   match (source, Diag.has_warnings ds) with
-                   | Some _, false ->
-                       Printf.printf
-                         "\nstatically verified: instance sets and dependence order preserved\n"
-                   | Some _, true -> Printf.printf "\nstatic verification incomplete (see warnings)\n"
-                   | None, _ -> ());
-                finish stats (Diag.exit_code ds)))
+                if Option.is_none source then Diag.exit_code ds
+                else render_verdict (Verify.verdict report)))
   in
   let against =
     Arg.(
@@ -535,18 +486,9 @@ let verify_cmd =
 
 (* ---- run ---- *)
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
-
 let run_cmd =
-  let run common file n recipe threads repeat no_timings emit_c =
-    match common with
-    | Error ds ->
-        print_diags ds;
-        1
-    | Ok stats -> (
+  let run setup file n recipe threads repeat no_timings emit_c =
+    setup (fun () ->
         (* Without --recipe, parse-only on purpose: generated programs
            (If/Let nodes) have no instance-vector layout but interpret
            fine.  With --recipe the file must be a source program (the
@@ -561,55 +503,45 @@ let run_cmd =
               | Ok ctx -> (
                   match materialize_recipe ctx rpath with
                   | Error ds -> Error ds
-                  | Ok total -> (
-                      match Inl.transform ctx total with
-                      | Error ds -> Error (ctx.Inl.diags @ ds)
-                      | Ok prog -> Ok prog)))
+                  | Ok total ->
+                      Result.map_error (fun ds -> ctx.Inl.diags @ ds) (Inl.transform ctx total)))
         in
         match prog_result with
-        | Error ds ->
-            print_diags ds;
-            1
+        | Error ds -> fail ds
         | Ok prog -> (
             (* every program parameter is bound to the -N size, as in the
                search's simulation tier *)
             let params = List.map (fun p -> (p, n)) prog.Inl.Ast.params in
-            match emit_c with
-            | Some cpath -> (
+            match (emit_c, threads) with
+            | Some cpath, _ -> (
                 match Exec.analyze prog with
                 | exception Inl.Ast.Invalid msg ->
-                    print_diags [ Diag.errorf ~code:"X802" ~phase:Diag.Exec "invalid program: %s" msg ];
-                    1
+                    fail [ Diag.errorf ~code:"X802" ~phase:Diag.Exec "invalid program: %s" msg ]
                 | doall ->
                     write_file cpath (Cemit.emit prog ~params ~doall);
                     Printf.printf "wrote %s (%d/%d loops doall)\n" cpath
                       (Exec.doall_count doall) (List.length doall);
-                    finish stats 0)
-            | None -> (
-                match threads with
-                | Some jobs -> (
-                    match Exec.benchmark ~jobs ~repeat prog ~params with
-                    | Error ds ->
-                        print_diags ds;
-                        finish stats 1
-                    | Ok r ->
-                        List.iter print_endline (Exec.render ~timings:(not no_timings) r);
-                        print_diags r.Exec.notes;
-                        finish stats (Diag.exit_code r.Exec.notes))
-                | None -> (
-                    match Interp.run prog ~params with
-                    | exception Invalid_argument msg ->
-                        print_diags [ Diag.error ~code:"I601" ~phase:Diag.Interp msg ];
-                        1
-                    | store ->
-                        let cells = Hashtbl.fold (fun k v acc -> (k, v) :: acc) store [] in
-                        List.iter
-                          (fun ((name, idx), v) ->
-                            Printf.printf "%s(%s) = %.6g\n" name
-                              (String.concat "," (List.map string_of_int idx))
-                              v)
-                          (List.sort compare cells);
-                        finish stats 0))))
+                    0)
+            | None, Some jobs -> (
+                match Exec.benchmark ~jobs ~repeat prog ~params with
+                | Error ds -> fail ds
+                | Ok r ->
+                    List.iter print_endline (Exec.render ~timings:(not no_timings) r);
+                    print_diags r.Exec.notes;
+                    Diag.exit_code r.Exec.notes)
+            | None, None -> (
+                match Interp.run prog ~params with
+                | exception Invalid_argument msg ->
+                    fail [ Diag.error ~code:"I601" ~phase:Diag.Interp msg ]
+                | store ->
+                    let cells = Hashtbl.fold (fun k v acc -> (k, v) :: acc) store [] in
+                    List.iter
+                      (fun ((name, idx), v) ->
+                        Printf.printf "%s(%s) = %.6g\n" name
+                          (String.concat "," (List.map string_of_int idx))
+                          v)
+                      (List.sort compare cells);
+                    0)))
   in
   let recipe =
     Arg.(
@@ -672,21 +604,11 @@ let run_cmd =
 (* ---- optimize ---- *)
 
 let optimize_cmd =
-  let run common file beam depth finalists size seed out =
-    with_context common file (fun ctx ->
-        (* beam/depth default to the kernel-size-aware widened values;
-           explicit --beam/--depth always win *)
-        let auto = Search.config_for ctx in
-        let config =
-          {
-            auto with
-            Search.beam = Option.value beam ~default:auto.Search.beam;
-            depth = Option.value depth ~default:auto.Search.depth;
-            finalists;
-            size;
-            seed;
-          }
-        in
+  let run setup file beam depth finalists size seed out =
+    with_context setup file (fun ctx ->
+        match Search.configure ~ctx ?beam ?depth ?finalists ?size ?seed () with
+        | Error m -> fail [ Diag.error ~code:"D702" ~phase:Diag.Driver m ]
+        | Ok config ->
         Sigint.install ();
         try
         let o = Search.optimize ~config ctx in
@@ -738,7 +660,7 @@ let optimize_cmd =
             Diag.exit_code o.Search.diags)
         with Sigint.Interrupted ->
           (* honoured at generation boundaries inside the search: flush
-             the stats report (with_context's finish) and exit 130
+             the stats report (the setup scaffold's) and exit 130
              instead of dying mid-write *)
           prerr_endline "optimize: interrupted; no winner written";
           Sigint.exit_code)
@@ -756,20 +678,22 @@ let optimize_cmd =
                    kernels with at least 8 layout columns).")
   in
   let finalists =
-    Arg.(value & opt int Search.default_config.Search.finalists
+    Arg.(value & opt (some int) None
          & info [ "finalists" ] ~docv:"K"
-             ~doc:"Statically ranked candidates promoted to the cache-simulation tier.")
+             ~doc:"Statically ranked candidates promoted to the cache-simulation tier \
+                   (default: 6).")
   in
   let size =
-    Arg.(value & opt int Search.default_config.Search.size
+    Arg.(value & opt (some int) None
          & info [ "size" ] ~docv:"N"
-             ~doc:"Problem size for the simulation tier (every program parameter is bound to N).")
+             ~doc:"Problem size for the simulation tier (every program parameter is bound to N; \
+                   default: 48).")
   in
   let seed =
-    Arg.(value & opt int Search.default_config.Search.seed
+    Arg.(value & opt (some int) None
          & info [ "seed" ] ~docv:"S"
-             ~doc:"Search seed (used only to subsample oversized move sets; the search is \
-                   deterministic for a fixed seed, independent of $(b,--jobs)).")
+             ~doc:"Search seed (default: 0; used only to subsample oversized move sets; the \
+                   search is deterministic for a fixed seed, independent of $(b,--jobs)).")
   in
   let out =
     Arg.(value & opt (some string) None
@@ -792,8 +716,8 @@ let optimize_cmd =
 (* ---- analyze ---- *)
 
 let analyze_cmd =
-  let run common file reuse recipe work line_elems =
-    with_context common file (fun ctx ->
+  let run setup file reuse recipe work line_elems =
+    with_context setup file (fun ctx ->
         if not reuse then begin
           print_diags
             [ Diag.error ~code:"D707" ~phase:Diag.Driver "no analysis selected (try --reuse)" ];
@@ -822,7 +746,7 @@ let analyze_cmd =
                   let work_budget =
                     match work with
                     | Some _ -> work
-                    | None -> Some (Inl.Omega.get_default_budget ()).Budget.fm_work
+                    | None -> Some (Budget.current ()).Budget.fm_work
                   in
                   let report = Reuse.analyze ?work_budget ?line_elems ctx structure in
                   print_string (Reuse.render report);
@@ -884,33 +808,25 @@ let analyze_cmd =
 (* ---- fuzz ---- *)
 
 let fuzz_cmd =
-  let run common seed cases timeout_ms corpus no_shrink replay =
-    match common with
-    | Error ds ->
-        print_diags ds;
-        1
-    | Ok stats -> (
+  let run setup seed cases timeout_ms corpus no_shrink replay =
+    setup (fun () ->
+        let driver_error msg = fail [ Diag.error ~code:"D706" ~phase:Diag.Driver msg ] in
         match replay with
         | Some base -> (
             match Inl_fuzz.Driver.replay ~timeout_ms base with
-            | Error msg ->
-                print_diags [ Diag.error ~code:"D706" ~phase:Diag.Driver msg ];
-                1
-            | Ok reproduced -> finish stats (if reproduced then 1 else 0))
+            | Error msg -> driver_error msg
+            | Ok reproduced -> if reproduced then 1 else 0)
         | None -> (
             Sigint.install ();
             let cfg =
               { Inl_fuzz.Driver.seed; cases; timeout_ms; corpus; shrink = not no_shrink }
             in
             match Inl_fuzz.Driver.run ~stop:Sigint.requested cfg with
-            | Error msg ->
-                print_diags [ Diag.error ~code:"D706" ~phase:Diag.Driver msg ];
-                1
+            | Error msg -> driver_error msg
             | Ok report ->
-                finish stats
-                  (if report.Inl_fuzz.Driver.interrupted then Sigint.exit_code
-                   else if Inl_fuzz.Driver.findings report > 0 then 1
-                   else 0)))
+                if report.Inl_fuzz.Driver.interrupted then Sigint.exit_code
+                else if Inl_fuzz.Driver.findings report > 0 then 1
+                else 0))
   in
   let seed =
     Arg.(
@@ -981,17 +897,11 @@ let corpus_cmd =
     else if has Record.Degraded then 2
     else 0
   in
-  let run common manifest_path state timeout_ms no_timings out_file guard =
-    match common with
-    | Error ds ->
-        print_diags ds;
-        1
-    | Ok stats -> (
+  let run setup manifest_path state timeout_ms no_timings out_file guard =
+    setup (fun () ->
         Sigint.install ();
         match Manifest.load manifest_path with
-        | Error ds ->
-            print_diags ds;
-            1
+        | Error ds -> fail ds
         | Ok manifest -> (
             (* guard mode is a fresh, unpersisted, untimed run: nothing
                to resume from, nothing clobbered, wall-time noise out of
@@ -1006,45 +916,39 @@ let corpus_cmd =
               }
             in
             match Runner.run ~stop:Sigint.requested cfg with
-            | Error ds ->
-                print_diags ds;
-                finish stats 1
-            | Ok report ->
-                if report.Runner.interrupted then finish stats Sigint.exit_code
+            | Error ds -> fail ds
+            | Ok report -> (
+                if report.Runner.interrupted then Sigint.exit_code
                 else
                   let json =
                     Bench.render ~manifest_fingerprint:manifest.Manifest.fingerprint
                       ~jobs:cfg.Runner.jobs ~timings:cfg.Runner.timings report.Runner.records
                   in
-                  finish stats
-                    (match guard with
-                    | None ->
-                        write_file out_file json;
-                        Printf.printf "wrote %s\n" out_file;
-                        code_of_records report.Runner.records
-                    | Some baseline_path -> (
-                        match read_file baseline_path with
-                        | exception Sys_error m ->
-                            print_diags
-                              [
-                                Diag.errorf ~code:"K709" ~phase:Diag.Corpus
-                                  "cannot read guard baseline: %s" m;
-                              ];
-                            1
-                        | baseline -> (
-                            match Bench.guard ~baseline ~current:json with
-                            | Ok () ->
-                                Printf.printf
-                                  "corpus-guard PASS: %d kernels match the committed report\n"
-                                  (List.length report.Runner.records);
-                                0
-                            | Error drifts ->
-                                print_diags
-                                  (List.map
-                                     (fun m ->
-                                       Diag.errorf ~code:"K709" ~phase:Diag.Corpus "%s" m)
-                                     drifts);
-                                1)))))
+                  match guard with
+                  | None ->
+                      write_file out_file json;
+                      Printf.printf "wrote %s\n" out_file;
+                      code_of_records report.Runner.records
+                  | Some baseline_path -> (
+                      match In_channel.with_open_bin baseline_path In_channel.input_all with
+                      | exception Sys_error m ->
+                          fail
+                            [
+                              Diag.errorf ~code:"K709" ~phase:Diag.Corpus
+                                "cannot read guard baseline: %s" m;
+                            ]
+                      | baseline -> (
+                          match Bench.guard ~baseline ~current:json with
+                          | Ok () ->
+                              Printf.printf
+                                "corpus-guard PASS: %d kernels match the committed report\n"
+                                (List.length report.Runner.records);
+                              0
+                          | Error drifts ->
+                              fail
+                                (List.map
+                                   (fun m -> Diag.errorf ~code:"K709" ~phase:Diag.Corpus "%s" m)
+                                   drifts))))))
   in
   let manifest_arg =
     Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"MANIFEST")
@@ -1114,14 +1018,10 @@ let corpus_cmd =
 
 let serve_cmd =
   let module Server = Inl_serve.Server in
-  let run common socket connect state queue_cap timeout_ms max_bytes checkpoint_every =
-    match common with
-    | Error ds ->
-        print_diags ds;
-        1
-    | Ok stats -> (
+  let run setup socket connect state queue_cap timeout_ms max_bytes checkpoint_every =
+    setup (fun () ->
         match connect with
-        | Some path -> finish stats (Server.client ~socket:path)
+        | Some path -> Server.client ~socket:path
         | None ->
             let config =
               {
@@ -1133,7 +1033,7 @@ let serve_cmd =
                 checkpoint_every;
               }
             in
-            finish stats (Server.run config))
+            Server.run config)
   in
   let socket =
     Arg.(

@@ -70,11 +70,20 @@ let analyze ?padding (program : Ast.program) : context =
 
 let analyze_source ?padding (src : string) : context = analyze ?padding (Parser.parse_exn src)
 
+(** Parse only, result-typed: a syntax error is a [P101] diagnostic.  No
+    layout is built, so any parseable program is accepted — in
+    particular generated code, whose guards and lets the instance-vector
+    layout rejects by design. *)
+let parse (src : string) : (Ast.program, Diag.t list) result =
+  match Parser.parse src with
+  | Ok prog -> Ok prog
+  | Error msg -> Error [ Diag.error ~code:"P101" ~phase:Diag.Parse msg ]
+
 (** Result-typed front door: parse and layout failures come back as error
     diagnostics instead of exceptions. *)
 let analyze_source_result ?padding (src : string) : (context, Diag.t list) result =
-  match Parser.parse src with
-  | Error msg -> Error [ Diag.error ~code:"P101" ~phase:Diag.Parse msg ]
+  match parse src with
+  | Error _ as e -> e
   | Ok prog -> (
       match analyze ?padding prog with
       | ctx -> Ok ctx

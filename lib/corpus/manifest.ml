@@ -1,6 +1,7 @@
 module Diag = Inl_diag.Diag
 module Faults = Inl_diag.Faults
 module Snapshot = Inl_serve.Snapshot
+module Search = Inl_search.Search
 
 type entry = {
   name : string;
@@ -67,6 +68,12 @@ let parse_entry ~dir ~lineno rest =
           | Some n when n >= min -> Ok (entry := set !entry n)
           | _ -> Error (err lineno "%s=%s: expected an integer >= %d" key v min)
         in
+        (* search options: range-checked below, by the search's own rule *)
+        let set_search key v set =
+          match int_of_string_opt v with
+          | Some n -> Ok (entry := set !entry n)
+          | None -> Error (err lineno "%s=%s: expected an integer" key v)
+        in
         let apply kv =
           match String.index_opt kv '=' with
           | None -> Error (err lineno "%S: expected key=value" kv)
@@ -74,11 +81,11 @@ let parse_entry ~dir ~lineno rest =
               let key = String.sub kv 0 i in
               let v = String.sub kv (i + 1) (String.length kv - i - 1) in
               match key with
-              | "size" -> set_int key v ~min:1 (fun e n -> { e with size = Some n })
-              | "seed" -> set_int key v ~min:0 (fun e n -> { e with seed = Some n })
-              | "beam" -> set_int key v ~min:1 (fun e n -> { e with beam = Some n })
-              | "depth" -> set_int key v ~min:0 (fun e n -> { e with depth = Some n })
-              | "finalists" -> set_int key v ~min:1 (fun e n -> { e with finalists = Some n })
+              | "size" -> set_search key v (fun e n -> { e with size = Some n })
+              | "seed" -> set_search key v (fun e n -> { e with seed = Some n })
+              | "beam" -> set_search key v (fun e n -> { e with beam = Some n })
+              | "depth" -> set_search key v (fun e n -> { e with depth = Some n })
+              | "finalists" -> set_search key v (fun e n -> { e with finalists = Some n })
               | "timeout_ms" -> set_int key v ~min:0 (fun e n -> { e with timeout_ms = Some n })
               | "budget" -> set_int key v ~min:1 (fun e n -> { e with budget = Some n })
               | "run" -> set_int key v ~min:1 (fun e n -> { e with run = Some n })
@@ -90,19 +97,21 @@ let parse_entry ~dir ~lineno rest =
               | _ -> Error (err lineno "unknown key %S" key))
         in
         let rec go = function
-          | [] -> Ok !entry
+          | [] -> (
+              let e = !entry in
+              match
+                Search.configure ?beam:e.beam ?depth:e.depth ?finalists:e.finalists
+                  ?size:e.size ?seed:e.seed ()
+              with
+              | Ok _ -> Ok e
+              | Error m -> Error (err lineno "%s" m))
           | kv :: rest -> ( match apply kv with Ok () -> go rest | Error _ as e -> e)
         in
         go kvs
   | _ -> Error (err lineno "expected: kernel <name> <path> [key=value ...]")
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error m ->
       Error [ Diag.errorf ~code:"K700" ~phase:Diag.Corpus "cannot read manifest: %s" m ]
   | text ->

@@ -10,9 +10,10 @@
 
     Recognized keys, all optional, all overriding the runner's
     defaults for that kernel only: [size], [seed], [beam], [depth],
-    [finalists] (search configuration; whatever is not pinned here goes
-    through {!Inl_search.Search.config_for}, so big kernels still get
-    the automatic widening), [timeout_ms] (per-kernel watchdog, [0]
+    [finalists] (search configuration, range-checked by
+    {!Inl_search.Search.configure} — the rule the CLI and serve apply —
+    which also gives big kernels the automatic widening for whatever is
+    not pinned here), [timeout_ms] (per-kernel watchdog, [0]
     disables), [budget] (per-kernel Fourier-Motzkin work budget),
     [faults] (an {!Inl_diag.Faults} spec — how the acceptance drill
     poisons a kernel on purpose), [run] (execute the winner for real at

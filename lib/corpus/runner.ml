@@ -7,7 +7,6 @@ module Sigint = Inl_diag.Sigint
 module Omega = Inl_presburger.Omega
 module Pool = Inl_parallel.Pool
 module Search = Inl_search.Search
-module Reuse = Inl_reuse.Reuse
 module Snapshot = Inl_serve.Snapshot
 module Fcorpus = Inl_fuzz.Corpus
 module Oracle = Inl_fuzz.Oracle
@@ -34,12 +33,6 @@ let checkpoint_kind = "corpus-checkpoint"
 (* v2: records carry the winner's DOALL count and execution label *)
 let checkpoint_version = 2
 let checkpoint_path state_dir = Filename.concat state_dir "checkpoint"
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* ---- checkpoint ---- *)
 
@@ -126,7 +119,7 @@ let clear_process_state () = Inl_diag.Memo.clear_all ()
 type attempt_result =
   | Ran of Search.outcome
   | Unreadable of string
-  | Unparsable of Diag.t list
+  | Refused of Diag.t list  (** parse/layout failure or a refused search option *)
 
 let counter counters name = match List.assoc_opt name counters with Some n -> n | None -> 0
 
@@ -139,7 +132,7 @@ let quarantine cfg (e : Manifest.entry) ~signature ~detail =
   match cfg.state_dir with
   | None -> None
   | Some dir -> (
-      match read_file e.Manifest.path with
+      match In_channel.with_open_bin e.Manifest.path In_channel.input_all with
       | exception Sys_error _ -> None
       | src -> (
           match Inl_ir.Parser.parse src with
@@ -155,41 +148,23 @@ let quarantine cfg (e : Manifest.entry) ~signature ~detail =
                    ~orig_prog:prog ~orig_tf:tf)))
 
 let run_kernel cfg (e : Manifest.entry) : Record.t =
-  let base_budget = Omega.get_default_budget () in
-  let base_faults = Faults.current () in
-  let fm_base =
-    match e.Manifest.budget with Some b -> b | None -> base_budget.Budget.fm_work
-  in
-  let ms = match e.Manifest.timeout_ms with Some t -> t | None -> cfg.timeout_ms in
-  let faults =
-    match e.Manifest.faults with
-    | None -> base_faults
-    | Some spec -> ( match Faults.parse spec with Ok f -> f | Error _ -> base_faults)
-  in
-  let attempt ~fm_work ~timeout_ms:_ =
+  let fm_base = Option.value e.Manifest.budget ~default:(Budget.current ()).Budget.fm_work in
+  let ms = Option.value e.Manifest.timeout_ms ~default:cfg.timeout_ms in
+  let faults = Option.bind e.Manifest.faults (fun spec -> Result.to_option (Faults.parse spec)) in
+  let attempt () =
     clear_process_state ();
-    (* per attempt, so injected failures fire on the same schedule on
-       both rungs *)
-    Faults.install faults;
-    Omega.set_default_budget (Budget.with_fm_work base_budget fm_work);
-    match read_file e.Manifest.path with
+    match In_channel.with_open_bin e.Manifest.path In_channel.input_all with
     | exception Sys_error m -> Unreadable m
     | src -> (
         match Inl.analyze_source_result src with
-        | Error ds -> Unparsable ds
-        | Ok ctx ->
-            let sc = Search.config_for ctx in
-            let sc =
-              {
-                sc with
-                Search.beam = Option.value e.Manifest.beam ~default:sc.Search.beam;
-                depth = Option.value e.Manifest.depth ~default:sc.Search.depth;
-                finalists = Option.value e.Manifest.finalists ~default:sc.Search.finalists;
-                size = Option.value e.Manifest.size ~default:sc.Search.size;
-                seed = Option.value e.Manifest.seed ~default:sc.Search.seed;
-              }
-            in
-            Ran (Search.optimize ~config:sc ctx))
+        | Error ds -> Refused ds
+        | Ok ctx -> (
+            match
+              Search.configure ~ctx ?beam:e.Manifest.beam ?depth:e.Manifest.depth
+                ?finalists:e.Manifest.finalists ?size:e.Manifest.size ?seed:e.Manifest.seed ()
+            with
+            | Error m -> Refused [ Diag.error ~code:"K701" ~phase:Diag.Corpus m ]
+            | Ok config -> Ran (Search.optimize ~config ctx)))
   in
   let blank =
     {
@@ -215,29 +190,102 @@ let run_kernel cfg (e : Manifest.entry) : Record.t =
   in
   let snap0 = Stats.snapshot () in
   let t0 = Unix.gettimeofday () in
-  let outcome =
-    Fun.protect
-      ~finally:(fun () ->
-        Omega.set_default_budget base_budget;
-        Faults.install base_faults)
-      (fun () ->
-        match
-          Retry.run ~fm_work:fm_base ~timeout_ms:ms
-            ~degradable:(function Omega.Blowup m -> Some m | _ -> None)
-            attempt
-        with
-        | r -> `Ladder r
-        | exception Sigint.Interrupted -> `Interrupted
-        | exception e -> `Panic (e, Printexc.get_backtrace ()))
+  let ladder =
+    Retry.run ~fm_work:fm_base ?faults ~timeout_ms:ms
+      ~degradable:(function Omega.Blowup m -> Some m | _ -> None)
+      attempt
   in
-  match outcome with
-  | `Interrupted -> raise Sigint.Interrupted
-  | `Panic (exn, bt) ->
+  let wall_ms =
+    if cfg.timings then int_of_float ((Unix.gettimeofday () -. t0) *. 1000.) else 0
+  in
+  let _, counters = Stats.since snap0 in
+  let finish ~retried ~extra_codes result =
+    match result with
+    | Unreadable m ->
+        {
+          blank with
+          Record.detail = "cannot read kernel: " ^ m;
+          degradations = sorted_codes extra_codes;
+          wall_ms;
+        }
+    | Refused ds ->
+        {
+          blank with
+          Record.detail = Diag.list_to_string ds;
+          degradations =
+            sorted_codes (extra_codes @ List.map (fun (d : Diag.t) -> d.Diag.code) ds);
+          wall_ms;
+        }
+    | Ran (o : Search.outcome) ->
+        let codes =
+          extra_codes @ List.map (fun (d : Diag.t) -> d.Diag.code) o.Search.diags
+        in
+        let errors = Diag.has_errors o.Search.diags in
+        let status =
+          if errors || o.Search.winner = None then Record.Failed
+          else if retried || codes <> [] then Record.Degraded
+          else Record.Clean
+        in
+        let detail =
+          match
+            List.find_opt (fun (d : Diag.t) -> d.Diag.severity = Diag.Error) o.Search.diags
+          with
+          | Some d -> Diag.to_string d
+          | None -> ""
+        in
+        let winner = o.Search.winner in
+        (* When the manifest asks for it ([run=]), execute the
+           winner for real: the recorded label is wall-time-free
+           ({!Exec.label}), so it is stable under the drift guard
+           while still pinning the plan and differential verdict. *)
+        let exec =
+          match (e.Manifest.run, winner) with
+          | Some size, Some w -> (
+              match w.Search.program with
+              | Some prog ->
+                  let params =
+                    List.map (fun p -> (p, size)) prog.Inl_ir.Ast.params
+                  in
+                  let jobs = Option.value e.Manifest.threads ~default:2 in
+                  Exec.label (Exec.benchmark ~jobs ~repeat:1 prog ~params)
+              | None -> "")
+          | _ -> ""
+        in
+        {
+          Record.name = e.Manifest.name;
+          status;
+          signature = "";
+          detail;
+          winner =
+            (match winner with Some w -> Search.recipe_line w.Search.recipe | None -> "");
+          source_misses = Option.value o.Search.source_misses ~default:(-1);
+          winner_misses =
+            (match winner with
+            | Some w -> Option.value w.Search.misses ~default:(-1)
+            | None -> -1);
+          accesses =
+            (match winner with
+            | Some w -> Option.value w.Search.accesses ~default:(-1)
+            | None -> -1);
+          candidates = counter counters "search.generated";
+          delta_inherited = counter counters "search.legality.delta-inherited";
+          delta_checked = counter counters "search.legality.delta-checked";
+          legality_memo_hits = counter counters "search.legality.memo_hits";
+          mat_memo_hits = counter counters "search.mat.memo_hits";
+          retried;
+          degradations = sorted_codes codes;
+          wall_ms;
+          doall = Option.value o.Search.winner_doall ~default:(-1);
+          exec;
+        }
+  in
+  match ladder with
+  | Retry.Panicked { exn; backtrace } ->
       (* a harness bug, not a kernel verdict: recover like serve's R707,
          revive the pool, quarantine the kernel as a crash finding *)
       Pool.revive ();
       let detail = "worker panic (recovered): " ^ Printexc.to_string exn in
-      if bt <> "" then prerr_string bt;
+      prerr_string (Printexc.raw_backtrace_to_string backtrace);
       ignore (quarantine cfg e ~signature:Oracle.Crash ~detail);
       {
         blank with
@@ -246,123 +294,37 @@ let run_kernel cfg (e : Manifest.entry) : Record.t =
         detail;
         degradations = "K707";
       }
-  | `Ladder ladder -> (
-      let wall_ms =
-        if cfg.timings then int_of_float ((Unix.gettimeofday () -. t0) *. 1000.) else 0
+  | Retry.Completed r -> finish ~retried:false ~extra_codes:[] r
+  | Retry.Recovered { value; first = _; fm_work = _ } ->
+      finish ~retried:true ~extra_codes:[ "K711" ] value
+  | Retry.Exhausted { first; second; fm_work } ->
+      let describe = function
+        | Retry.Deadline { timeout_ms; _ } ->
+            Printf.sprintf "exceeded its %d ms deadline" timeout_ms
+        | Retry.Degraded m -> "blew up: " ^ m
       in
-      let _, counters = Stats.since snap0 in
-      let finish ~retried ~extra_codes result =
-        match result with
-        | Unreadable m ->
-            {
-              blank with
-              Record.detail = "cannot read kernel: " ^ m;
-              degradations = sorted_codes extra_codes;
-              wall_ms;
-            }
-        | Unparsable ds ->
-            {
-              blank with
-              Record.detail = Diag.list_to_string ds;
-              degradations =
-                sorted_codes (extra_codes @ List.map (fun (d : Diag.t) -> d.Diag.code) ds);
-              wall_ms;
-            }
-        | Ran (o : Search.outcome) ->
-            let codes =
-              extra_codes @ List.map (fun (d : Diag.t) -> d.Diag.code) o.Search.diags
-            in
-            let errors = Diag.has_errors o.Search.diags in
-            let status =
-              if errors || o.Search.winner = None then Record.Failed
-              else if retried || codes <> [] then Record.Degraded
-              else Record.Clean
-            in
-            let detail =
-              match
-                List.find_opt (fun (d : Diag.t) -> d.Diag.severity = Diag.Error) o.Search.diags
-              with
-              | Some d -> Diag.to_string d
-              | None -> ""
-            in
-            let winner = o.Search.winner in
-            (* When the manifest asks for it ([run=]), execute the
-               winner for real: the recorded label is wall-time-free
-               ({!Exec.label}), so it is stable under the drift guard
-               while still pinning the plan and differential verdict. *)
-            let exec =
-              match (e.Manifest.run, winner) with
-              | Some size, Some w -> (
-                  match w.Search.program with
-                  | Some prog ->
-                      let params =
-                        List.map (fun p -> (p, size)) prog.Inl_ir.Ast.params
-                      in
-                      let jobs = Option.value e.Manifest.threads ~default:2 in
-                      Exec.label (Exec.benchmark ~jobs ~repeat:1 prog ~params)
-                  | None -> "")
-              | _ -> ""
-            in
-            {
-              Record.name = e.Manifest.name;
-              status;
-              signature = "";
-              detail;
-              winner =
-                (match winner with Some w -> Search.recipe_line w.Search.recipe | None -> "");
-              source_misses = Option.value o.Search.source_misses ~default:(-1);
-              winner_misses =
-                (match winner with
-                | Some w -> Option.value w.Search.misses ~default:(-1)
-                | None -> -1);
-              accesses =
-                (match winner with
-                | Some w -> Option.value w.Search.accesses ~default:(-1)
-                | None -> -1);
-              candidates = counter counters "search.generated";
-              delta_inherited = counter counters "search.legality.delta-inherited";
-              delta_checked = counter counters "search.legality.delta-checked";
-              legality_memo_hits = counter counters "search.legality.memo_hits";
-              mat_memo_hits = counter counters "search.mat.memo_hits";
-              retried;
-              degradations = sorted_codes codes;
-              wall_ms;
-              doall = Option.value o.Search.winner_doall ~default:(-1);
-              exec;
-            }
+      let signature, code =
+        match second with
+        | Retry.Deadline _ -> (Oracle.Timeout, "K706")
+        | Retry.Degraded _ -> (Oracle.Crash, "K708")
       in
-      match ladder with
-      | Retry.Completed r -> finish ~retried:false ~extra_codes:[] r
-      | Retry.Recovered { value; first = _; fm_work = _ } ->
-          finish ~retried:true ~extra_codes:[ "K711" ] value
-      | Retry.Exhausted { first; second; fm_work } ->
-          let describe = function
-            | Retry.Deadline { timeout_ms; _ } ->
-                Printf.sprintf "exceeded its %d ms deadline" timeout_ms
-            | Retry.Degraded m -> "blew up: " ^ m
-          in
-          let signature, code =
-            match second with
-            | Retry.Deadline _ -> (Oracle.Timeout, "K706")
-            | Retry.Degraded _ -> (Oracle.Crash, "K708")
-          in
-          let detail =
-            Printf.sprintf
-              "kernel %s, and the reduced-budget retry (fm_work=%d) %s; quarantined \
-               (faults=%s budget=%d timeout_ms=%d)"
-              (describe first) fm_work (describe second)
-              (match e.Manifest.faults with Some s -> s | None -> "none")
-              fm_base ms
-          in
-          ignore (quarantine cfg e ~signature ~detail);
-          {
-            blank with
-            Record.status = Record.Quarantined;
-            signature = Oracle.signature_to_string signature;
-            detail;
-            degradations = sorted_codes [ code ];
-            wall_ms;
-          })
+      let detail =
+        Printf.sprintf
+          "kernel %s, and the reduced-budget retry (fm_work=%d) %s; quarantined \
+           (faults=%s budget=%d timeout_ms=%d)"
+          (describe first) fm_work (describe second)
+          (match e.Manifest.faults with Some s -> s | None -> "none")
+          fm_base ms
+      in
+      ignore (quarantine cfg e ~signature ~detail);
+      {
+        blank with
+        Record.status = Record.Quarantined;
+        signature = Oracle.signature_to_string signature;
+        detail;
+        degradations = sorted_codes [ code ];
+        wall_ms;
+      }
 
 (* ---- the batch loop ---- *)
 

@@ -5,7 +5,8 @@
 
     - every kernel runs under its own watchdog deadline, work budget
       and fault spec (manifest overrides over the runner defaults),
-      installed before and restored after;
+      installed and restored by the shared attempt scope
+      ({!Inl_diag.Retry.run});
     - a hang or an escaped solver blowup gets exactly one retry at
       sharply reduced budget through the shared ladder
       ({!Inl_diag.Retry}); if the retry also fails, the kernel is

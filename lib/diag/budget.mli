@@ -24,6 +24,14 @@ val default : t
 val with_fm_work : t -> int -> t
 (** Clamped to at least 1. *)
 
+val install : t -> unit
+(** Replaces the process default budget: the one
+    {!Inl_presburger.Omega.new_analysis} uses when a caller passes no
+    [?budget].  Initially {!default}. *)
+
+val current : unit -> t
+(** The process default budget. *)
+
 val of_env : ?base:t -> unit -> t
 (** [base] (default {!default}) with [fm_work] overridden by the
     [INL_FM_BUDGET] environment variable when it parses as a positive

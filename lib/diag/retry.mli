@@ -1,18 +1,22 @@
-(** The shared retry/degradation ladder.
+(** The shared attempt scope and retry/degradation ladder.
 
     Three long-running surfaces — [inltool serve] per-request guarding,
     the fuzz driver's per-case watchdog, and the corpus bulk runner's
     per-kernel guarding — all follow the same shape: run the work once
-    under a wall-clock deadline and a solver work budget; if that attempt
-    times out or degrades (a solver blowup escaping the conservative
-    paths), retry {e exactly once} at a sharply reduced budget (a solver
-    that was grinding usually finishes fast when starved); if the retry
-    also fails, hand the caller a typed, two-reason post-mortem instead
-    of aborting the batch.  This module is that ladder, once, so the
-    three call sites cannot drift apart.
+    under a wall-clock deadline, a solver work budget and a fault spec;
+    if that attempt times out or degrades (a solver blowup escaping the
+    conservative paths), retry {e exactly once} at a sharply reduced
+    budget (a solver that was grinding usually finishes fast when
+    starved); if the retry also fails, hand the caller a typed,
+    two-reason post-mortem instead of aborting the batch.  Any other
+    exception is a panic, returned with its backtrace.  This module is
+    that scope and ladder, once, so the three call sites cannot drift
+    apart: the process budget ({!Budget.current}) and fault spec
+    ({!Faults.current}) in force before {!run} are in force again after
+    it, however the attempts ended.
 
     The ladder is policy-parameterised but message-agnostic: callers
-    format their own diagnostics (R711/R706/R708 on the serve wire,
+    format their own diagnostics (R711/R706/R708/R707 on the serve wire,
     the pinned fuzz timeout-finding detail, K-codes in the corpus
     runner) from the structured {!outcome}. *)
 
@@ -43,24 +47,32 @@ type 'a outcome =
       (** the reduced-budget retry (at [fm_work]) answered *)
   | Exhausted of { first : reason; second : reason; fm_work : int }
       (** both rungs failed; callers emit a typed failure record *)
+  | Panicked of { exn : exn; backtrace : Printexc.raw_backtrace }
+      (** an attempt raised an exception that is neither degradable nor
+          a deadline: a harness bug, not an input verdict (serve answers
+          R707, the corpus runner records K707); never retried *)
 
 val run :
   ?policy:policy ->
-  fm_work:int ->
+  ?fm_work:int ->
+  ?faults:Faults.t ->
   timeout_ms:int ->
   degradable:(exn -> string option) ->
-  (fm_work:int -> timeout_ms:int -> 'a) ->
+  (unit -> 'a) ->
   'a outcome
-(** [run ~fm_work ~timeout_ms ~degradable f] drives the ladder.  Each
-    attempt calls [f ~fm_work ~timeout_ms] with that rung's budget and
-    deadline under {!Watchdog.with_timeout} (no deadline when
-    [timeout_ms <= 0]); [f] is responsible for installing the work
-    budget (and any fault spec) for the attempt — installation must
-    happen per attempt so injected failures fire on the same schedule on
-    both rungs.
+(** [run ~timeout_ms ~degradable f] drives the ladder.  Each attempt
+    installs its rung's work budget ({!Budget.install}; [fm_work]
+    defaults to the current process budget's) and, when given, the
+    fault spec [faults] ({!Faults.install}, which also restarts the
+    projection count), then calls [f] under {!Watchdog.with_timeout}
+    with the rung's deadline (no deadline when [timeout_ms <= 0]).
+    Installation happens per attempt so injected failures fire on the
+    same schedule on both rungs.  On return — and on every exception
+    that escapes — the budget and (when [faults] was given) the fault
+    spec in force before the call are restored.
 
     An exception [e] escaping [f] is retried iff [degradable e] is
-    [Some msg]; otherwise it propagates (serve recovers those as R707
-    worker panics, the corpus runner as K707).  A {!Watchdog.Timeout}
-    belonging to an {e outer} deadline is always re-raised, never
-    consumed by the ladder — the caller owns that deadline. *)
+    [Some msg].  {!Sigint.Interrupted} and a {!Watchdog.Timeout}
+    belonging to an {e outer} deadline are re-raised, never consumed by
+    the ladder — the caller owns the interrupt and that deadline.  Any
+    other exception ends the ladder as {!Panicked}. *)

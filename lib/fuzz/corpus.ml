@@ -29,12 +29,6 @@ let write_file path contents =
    SIGKILLed mid-update *)
 let write_file_atomic path contents = Inl_diag.Atomicio.write_file_atomic_exn path contents
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let cursor_path dir = Filename.concat dir "cursor"
 
 let read_cursor ~dir =
@@ -54,7 +48,7 @@ let read_cursor ~dir =
       | [ "" ] -> Ok acc
       | _ -> Error ()
     in
-    let lines = String.split_on_char '\n' (read_file path) in
+    let lines = String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all) in
     let folded =
       List.fold_left
         (fun acc line -> match acc with Error _ -> acc | Ok a -> parse line a)
@@ -87,13 +81,13 @@ let write_finding ~dir ~index ~signature ~detail ~prog ~tf ~orig_prog ~orig_tf =
   write_finding_base ~dir ~base ~signature ~detail ~prog ~tf ~orig_prog ~orig_tf
 
 let load_case ~inl ~tf =
-  match read_file inl with
+  match In_channel.with_open_bin inl In_channel.input_all with
   | exception Sys_error msg -> Error msg
   | src -> (
       match Parser.parse src with
       | Error msg -> Error (inl ^ ": " ^ msg)
       | Ok prog -> (
-          match read_file tf with
+          match In_channel.with_open_bin tf In_channel.input_all with
           | exception Sys_error msg -> Error msg
           | spec -> (
               match Tf.of_string spec with

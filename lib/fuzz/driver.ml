@@ -1,5 +1,3 @@
-module Ast = Inl_ir.Ast
-module Budget = Inl_diag.Budget
 module Watchdog = Inl_diag.Watchdog
 module Retry = Inl_diag.Retry
 module Omega = Inl_presburger.Omega
@@ -66,23 +64,16 @@ let run_case (cfg : config) ~index stash =
      from (seed, index), so a retry that dies before regenerating it can
      still quarantine attempt one's program *)
   stash := None;
-  let base_work = (Omega.get_default_budget ()).Budget.fm_work in
-  let attempt ~fm_work ~timeout_ms:_ =
-    let saved = Omega.get_default_budget () in
-    Omega.set_default_budget (Budget.with_fm_work saved fm_work);
-    Fun.protect
-      ~finally:(fun () -> Omega.set_default_budget saved)
-      (fun () ->
-        match gen_guarded ~seed:cfg.seed ~index stash with
-        | `Fail outcome -> outcome
-        | `Gen (prog, tf) -> Oracle.run_case prog tf)
+  let attempt () =
+    match gen_guarded ~seed:cfg.seed ~index stash with
+    | `Fail outcome -> outcome
+    | `Gen (prog, tf) -> Oracle.run_case prog tf
   in
   match
-    Retry.run ~policy:retry_policy ~fm_work:base_work ~timeout_ms:cfg.timeout_ms
-      ~degradable:(fun _ -> None)
-      attempt
+    Retry.run ~policy:retry_policy ~timeout_ms:cfg.timeout_ms ~degradable:(fun _ -> None) attempt
   with
   | Retry.Completed outcome | Retry.Recovered { value = outcome; _ } -> outcome
+  | Retry.Panicked { exn; backtrace } -> Printexc.raise_with_backtrace exn backtrace
   | Retry.Exhausted { fm_work = reduced; _ } ->
       Oracle.Finding
         {

@@ -65,7 +65,7 @@ let write_cell eng array index v =
   Hashtbl.replace eng.store (array, index) v
 
 (* [rpath] is the reversed child-index path of the node being visited —
-   the same convention as {!Inl_verify.Exec.loops_of}, so a DOALL report
+   the same convention as {!Inl_verify.Instances.loops_of}, so a DOALL report
    entry identifies the loop the hook sees. *)
 let rec exec eng ~params ~on_loop rpath bindings nodes =
   let env v =

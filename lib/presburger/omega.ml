@@ -5,12 +5,6 @@ module Watchdog = Inl_diag.Watchdog
 
 exception Blowup of string
 
-(* The budget used when a caller does not thread one explicitly; the CLI
-   overrides it from --budget / INL_FM_BUDGET. *)
-let default_budget = Atomic.make Budget.default
-let set_default_budget b = Atomic.set default_budget b
-let get_default_budget () = Atomic.get default_budget
-
 (* Per-analysis solver state.  The projection counter lives here — not in
    a process global — so one analysis cannot leak budget consumption into
    the next, and concurrent analyses (or worker domains sharing one
@@ -41,7 +35,7 @@ let solver_calls () = (Atomic.get sat_calls, Atomic.get project_calls)
 let new_analysis ?budget () =
   Faults.reset_counters ();
   {
-    budget = (match budget with Some b -> b | None -> get_default_budget ());
+    budget = (match budget with Some b -> b | None -> Budget.current ());
     projections = Atomic.make 0;
   }
 

@@ -24,11 +24,6 @@ exception Blowup of string
 (** Raised when a projection exceeds its resource budget (the message
     names the exhausted resource) or a fault is injected. *)
 
-val set_default_budget : Budget.t -> unit
-val get_default_budget : unit -> Budget.t
-(** The budget used when callers do not pass [?budget] or [?ctx]; the CLI
-    sets it from [--budget] / [INL_FM_BUDGET]. *)
-
 type ctx
 (** Per-analysis solver state: the effective budget, the projection
     counter it meters (no longer a process global — a forgotten reset
@@ -36,7 +31,8 @@ type ctx
     across worker domains: the counter is atomic. *)
 
 val new_analysis : ?budget:Budget.t -> unit -> ctx
-(** Fresh per-analysis state (budget defaults to the process default);
+(** Fresh per-analysis state (budget defaults to the process default,
+    {!Inl_diag.Budget.current});
     also resets the fault-injection counters so injected failures are
     deterministic per run.  Entry points called without [?ctx] run on an
     ephemeral context, so no global protocol exists to forget. *)

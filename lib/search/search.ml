@@ -50,6 +50,22 @@ let config_for ?(base = default_config) (ctx : Inl.context) : config =
   if Layout.size ctx.Inl.layout >= widen_threshold then { base with beam = 12; depth = 4 }
   else base
 
+let configure ?ctx ?beam ?depth ?finalists ?size ?seed () : (config, string) result =
+  let base = match ctx with Some ctx -> config_for ctx | None -> default_config in
+  let ( let* ) = Result.bind in
+  let pick name ~min given default =
+    match given with
+    | None -> Ok default
+    | Some n when n >= min -> Ok n
+    | Some n -> Error (Printf.sprintf "%s=%d: expected an integer >= %d" name n min)
+  in
+  let* beam = pick "beam" ~min:1 beam base.beam in
+  let* depth = pick "depth" ~min:0 depth base.depth in
+  let* finalists = pick "finalists" ~min:1 finalists base.finalists in
+  let* size = pick "size" ~min:1 size base.size in
+  let* seed = pick "seed" ~min:0 seed base.seed in
+  Ok { base with beam; depth; finalists; size; seed }
+
 type entry = {
   rank : int;
   recipe : Tf.t;

@@ -63,8 +63,25 @@ val config_for : ?base:config -> Inl.context -> config
     programs with at least 8 layout columns (loops + statements) get
     [beam = 12] and [depth = 4] — incremental evaluation made candidates
     cheap enough to spend the reclaimed time on coverage where the
-    search space is big enough to need it.  The CLI uses this when
-    [--beam]/[--depth] are not given explicitly. *)
+    search space is big enough to need it. *)
+
+val configure :
+  ?ctx:Inl.context ->
+  ?beam:int ->
+  ?depth:int ->
+  ?finalists:int ->
+  ?size:int ->
+  ?seed:int ->
+  unit ->
+  (config, string) result
+(** The one rule for user-supplied search options, shared by
+    [inltool optimize], serve's [optimize] method and the corpus
+    manifest: start from {!config_for} [ctx] ({!default_config} without
+    a context), let every given option win, and refuse an option below
+    its minimum — [beam >= 1], [depth >= 0], [finalists >= 1],
+    [size >= 1], [seed >= 0] — with a message such as
+    ["beam=-3: expected an integer >= 1"] that each front end wraps in
+    its own diagnostic code. *)
 
 type entry = {
   rank : int;  (** 1-based, in final ranking order *)

@@ -5,7 +5,8 @@
    Robustness is the design center, enforced by construction:
 
    - every request runs under its own budget, watchdog deadline and
-     fault-injection scope, installed before and restored after;
+     fault-injection scope, installed and restored by the shared attempt
+     scope (Inl_diag.Retry);
    - a solver blowup or deadline that escapes the library-level
      degradation paths gets ONE retry at sharply reduced budget; if that
      also fails, the request is answered with a typed diagnostic (R706 /
@@ -29,10 +30,8 @@
    needs attention, not just some inputs. *)
 
 module Diag = Inl_diag.Diag
-module Budget = Inl_diag.Budget
 module Faults = Inl_diag.Faults
 module Stats = Inl_diag.Stats
-module Watchdog = Inl_diag.Watchdog
 module Retry = Inl_diag.Retry
 module Omega = Inl_presburger.Omega
 module Cache = Inl_presburger.Cache
@@ -251,68 +250,45 @@ let handle_analyze req : hresult =
             ctx.Inl.diags ))
 
 let handle_verify req : hresult =
-  match require_program req with
+  let ( let* ) = Result.bind in
+  let parsed =
+    let* prog = Result.bind (require_program req) Inl.parse in
+    let* against =
+      match Json.string_field "against" req with
+      | None -> Ok None
+      | Some src -> Result.map Option.some (Inl.parse src)
+    in
+    Ok (prog, against)
+  in
+  match parsed with
   | Error ds -> (Json.Null, ds)
-  | Ok src -> (
-      let parse what s =
-        match Inl.Parser.parse s with
-        | Ok prog -> Ok prog
-        | Error msg ->
-            Error [ Diag.errorf ~code:"P101" ~phase:Diag.Parse "%s: %s" what msg ]
-      in
-      match parse "program" src with
-      | Error ds -> (Json.Null, ds)
-      | Ok prog -> (
-          let against =
-            match Json.string_field "against" req with
-            | None -> Ok None
-            | Some s -> (
-                match parse "against" s with Ok p -> Ok (Some p) | Error ds -> Error ds)
-          in
-          match against with
-          | Error ds -> (Json.Null, ds)
-          | Ok against ->
-              let report = Verify.run ?against prog in
-              let ds = Verify.diags report in
-              let verdict =
-                if Diag.has_errors ds then "failed"
-                else if Diag.has_warnings ds then "incomplete"
-                else "verified"
-              in
-              ( Json.Obj
-                  [
-                    ("verdict", Json.String verdict);
-                    ( "loops",
-                      Json.List
-                        (List.map
-                           (fun l -> Json.String l)
-                           (Verify.loop_summary report.Verify.loops)) );
-                  ],
-                ds )))
+  | Ok (prog, against) ->
+      let report = Verify.run ?against prog in
+      ( Json.Obj
+          [
+            ("verdict", Json.String (Verify.verdict_to_string (Verify.verdict report)));
+            ( "loops",
+              Json.List
+                (List.map (fun l -> Json.String l) (Verify.loop_summary report.Verify.loops)) );
+          ],
+        Verify.diags report )
 
 let handle_optimize req : hresult =
-  match require_program req with
+  match Result.bind (require_program req) (fun src -> Inl.analyze_source_result src) with
   | Error ds -> (Json.Null, ds)
-  | Ok src -> (
-      match Inl.analyze_source_result src with
-      | Error ds -> (Json.Null, ds)
-      | Ok ctx ->
-          let d = Search.default_config in
-          let field name v = Option.value (Json.int_field name req) ~default:v in
-          let config =
-            {
-              d with
-              Search.beam = field "beam" d.Search.beam;
-              depth = field "depth" d.Search.depth;
-              finalists = field "finalists" d.Search.finalists;
-              size = field "size" d.Search.size;
-              seed = field "seed" d.Search.seed;
-            }
-          in
+  | Ok ctx -> (
+      let field name = Json.int_field name req in
+      match
+        Search.configure ~ctx ?beam:(field "beam") ?depth:(field "depth")
+          ?finalists:(field "finalists") ?size:(field "size") ?seed:(field "seed") ()
+      with
+      | Error m ->
+          (Json.Null, [ Diag.error ~code:"R703" ~phase:Diag.Serve ("invalid request: " ^ m) ])
+      | Ok config -> (
           let o = Search.optimize ~config ctx in
           let diags = ctx.Inl.diags @ o.Search.diags in
           let opt f = function Some v -> f v | None -> Json.Null in
-          (match o.Search.winner with
+          match o.Search.winner with
           | None -> (Json.Null, diags)
           | Some w ->
               ( Json.Obj
@@ -403,102 +379,79 @@ let first_reason_message = function
   | Retry.Degraded m -> "a solver blowup escaped the degradation paths: " ^ m
 
 let guarded t ~id ~meth req (handler : unit -> hresult) =
-  let base_budget = Omega.get_default_budget () in
-  let base_faults = Faults.current () in
-  let base_fm =
-    match Json.int_field "budget" req with
-    | Some n when n > 0 -> n
-    | _ -> base_budget.Budget.fm_work
+  let fm_work = match Json.int_field "budget" req with Some n when n > 0 -> Some n | _ -> None in
+  let timeout_ms =
+    Option.value (Json.int_field "timeout_ms" req) ~default:t.config.request_timeout_ms
   in
-  let ms =
-    match Json.int_field "timeout_ms" req with
-    | Some n -> n
-    | None -> t.config.request_timeout_ms
-  in
-  match
+  let faults =
     match Json.string_field "faults" req with
-    | None -> Ok base_faults
-    | Some spec -> Faults.parse spec
-  with
+    | None -> Ok None
+    | Some spec -> Result.map Option.some (Faults.parse spec)
+  in
+  match faults with
   | Error msg -> reject t ~id ~meth ~code:"R703" ("bad \"faults\" spec: " ^ msg)
   | Ok faults -> (
       let want_stats = Json.bool_field "stats" req = Some true in
       let _, proj0 = Omega.solver_calls () in
       let cs0 = Omega.cache_stats () in
       let snap0 = Stats.snapshot () in
-      let outcome =
-        Fun.protect
-          ~finally:(fun () ->
-            Omega.set_default_budget base_budget;
-            Faults.install base_faults)
-          (fun () ->
-            (* the fault spec is (re)installed per attempt so injected
-               failures fire on the same schedule whether or not this is
-               the retry *)
-            let f ~fm_work ~timeout_ms:_ =
-              Faults.install faults;
-              Omega.set_default_budget (Budget.with_fm_work base_budget fm_work);
-              handler ()
-            in
-            let degradable = function Omega.Blowup m -> Some m | _ -> None in
-            match Retry.run ~fm_work:base_fm ~timeout_ms:ms ~degradable f with
-            | Retry.Completed (result, ds) -> `Done (result, ds)
-            | Retry.Recovered { value = result, ds; first; fm_work = fm' } ->
-                `Done
-                  ( result,
-                    ds
-                    @ [
-                        Diag.warningf ~code:"R711" ~phase:Diag.Serve
-                          "%s; answered by a retry at reduced budget (fm_work=%d)"
-                          (first_reason_message first) fm';
-                      ] )
-            | Retry.Exhausted { first; second = Retry.Deadline _; fm_work = fm' } ->
-                `Done
-                  ( Json.Null,
-                    [
-                      Diag.errorf ~code:"R706" ~phase:Diag.Serve
-                        "%s, and the reduced-budget retry (fm_work=%d) also exceeded its \
-                         deadline; request abandoned"
-                        (first_reason_message first) fm';
-                    ] )
-            | Retry.Exhausted { first; second = Retry.Degraded m; fm_work = fm' } ->
-                `Done
-                  ( Json.Null,
-                    [
-                      Diag.errorf ~code:"R708" ~phase:Diag.Serve
-                        "%s, and the reduced-budget retry (fm_work=%d) blew up: %s"
-                        (first_reason_message first) fm' m;
-                    ] )
-            | exception e -> `Panic (e, Printexc.get_backtrace ()))
+      let degradable = function Omega.Blowup m -> Some m | _ -> None in
+      let answered (result, diags) =
+        let stats =
+          if not want_stats then None
+          else
+            let _, proj1 = Omega.solver_calls () in
+            let cs1 = Omega.cache_stats () in
+            let _, counter_deltas = Stats.since snap0 in
+            Some
+              (Json.Obj
+                 [
+                   ("project_calls", Json.Int (proj1 - proj0));
+                   ("cache_hits", Json.Int (cs1.Cache.hits - cs0.Cache.hits));
+                   ("cache_misses", Json.Int (cs1.Cache.misses - cs0.Cache.misses));
+                   ( "counters",
+                     Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) counter_deltas) );
+                 ])
+        in
+        response t ~id ~meth ~result ?stats diags
       in
-      match outcome with
-      | `Done (result, diags) ->
-          let stats =
-            if not want_stats then None
-            else
-              let _, proj1 = Omega.solver_calls () in
-              let cs1 = Omega.cache_stats () in
-              let _, counter_deltas = Stats.since snap0 in
-              Some
-                (Json.Obj
-                   [
-                     ("project_calls", Json.Int (proj1 - proj0));
-                     ("cache_hits", Json.Int (cs1.Cache.hits - cs0.Cache.hits));
-                     ("cache_misses", Json.Int (cs1.Cache.misses - cs0.Cache.misses));
-                     ( "counters",
-                       Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) counter_deltas) );
-                   ])
-          in
-          response t ~id ~meth ~result ?stats diags
-      | `Panic (e, bt) ->
+      match Retry.run ?fm_work ?faults ~timeout_ms ~degradable handler with
+      | Retry.Completed answer -> answered answer
+      | Retry.Recovered { value = result, ds; first; fm_work = fm' } ->
+          answered
+            ( result,
+              ds
+              @ [
+                  Diag.warningf ~code:"R711" ~phase:Diag.Serve
+                    "%s; answered by a retry at reduced budget (fm_work=%d)"
+                    (first_reason_message first) fm';
+                ] )
+      | Retry.Exhausted { first; second = Retry.Deadline _; fm_work = fm' } ->
+          answered
+            ( Json.Null,
+              [
+                Diag.errorf ~code:"R706" ~phase:Diag.Serve
+                  "%s, and the reduced-budget retry (fm_work=%d) also exceeded its deadline; \
+                   request abandoned"
+                  (first_reason_message first) fm';
+              ] )
+      | Retry.Exhausted { first; second = Retry.Degraded m; fm_work = fm' } ->
+          answered
+            ( Json.Null,
+              [
+                Diag.errorf ~code:"R708" ~phase:Diag.Serve
+                  "%s, and the reduced-budget retry (fm_work=%d) blew up: %s"
+                  (first_reason_message first) fm' m;
+              ] )
+      | Retry.Panicked { exn; backtrace } ->
           t.internal <- true;
           Pool.revive ();
           let d =
             Diag.errorf ~code:"R707" ~phase:Diag.Serve "worker panic (recovered): %s"
-              (Printexc.to_string e)
+              (Printexc.to_string exn)
           in
           log_diag d;
-          if bt <> "" then prerr_string bt;
+          prerr_string (Printexc.raw_backtrace_to_string backtrace);
           response t ~id ~meth [ d ])
 
 (* ---- request dispatch ---- *)

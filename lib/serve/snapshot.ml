@@ -36,16 +36,10 @@ let save ~path ~kind ~version payload =
   if String.contains kind ' ' then invalid_arg "Snapshot.save: kind must not contain spaces";
   Inl_diag.Atomicio.write_file_atomic path (header ~kind ~version payload ^ payload)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load ~path ~kind ~version =
   if not (Sys.file_exists path) then Ok None
   else
-    match read_file path with
+    match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error msg -> Error msg
     | raw -> (
         let corrupt what = Error (Printf.sprintf "%s: corrupt snapshot (%s)" path what) in

@@ -5,7 +5,7 @@
    it holds, the loop's iterations commute and can run concurrently.
 
    The check is an ILP satisfiability question per conflicting
-   reference pair, built from the execution sets of [Exec] — so it
+   reference pair, built from the execution sets of [Instances] — so it
    works on generated code (guards, lets, strides, covering bounds)
    where [Inl_depend.Analysis] (which needs a source-program layout)
    does not. *)
@@ -49,20 +49,23 @@ let rec is_prefix prefix path =
 
 let analyze ?ctx (prog : Ast.program) : (Ast.path * string * status) list =
   let params = prog.Ast.params in
-  let occs = Exec.extract prog in
+  let occs = Instances.extract prog in
   let suffix v = if List.mem v params then v else v ^ "!2" in
   (* one task per loop: each accumulates its own witnesses, so results
      are position-for-position identical to the sequential scan *)
   Pool.map
     (fun ((lpath, (l : Ast.loop)) : Ast.path * Ast.loop) ->
-      let under = List.filter (fun (o : Exec.occurrence) -> is_prefix lpath o.Exec.path) occs in
+      let under =
+        List.filter (fun (o : Instances.occurrence) -> is_prefix lpath o.Instances.path) occs
+      in
       let witnesses = ref [] in
       let unknown = ref None in
       let note_unknown msg = if !unknown = None then unknown := Some msg in
-      let check_pair (o1 : Exec.occurrence) (o2 : Exec.occurrence) =
-        let env1 = (List.hd o1.Exec.ctxts).Exec.env
-        and env2 = (List.hd o2.Exec.ctxts).Exec.env in
-        let refs1 = Exec.refs_of env1 o1.Exec.stmt and refs2 = Exec.refs_of env2 o2.Exec.stmt in
+      let check_pair (o1 : Instances.occurrence) (o2 : Instances.occurrence) =
+        let env1 = (List.hd o1.Instances.ctxts).Instances.env
+        and env2 = (List.hd o2.Instances.ctxts).Instances.env in
+        let refs1 = Instances.refs_of env1 o1.Instances.stmt
+        and refs2 = Instances.refs_of env2 o2.Instances.stmt in
         (* shared loops strictly enclosing this one run at equal values;
            this loop's variable differs (either direction). *)
         let outer_eq =
@@ -71,7 +74,7 @@ let analyze ?ctx (prog : Ast.program) : (Ast.path * string * status) list =
               if List.length p < List.length lpath && is_prefix p lpath then
                 Some (Constr.eq2 (Linexpr.var v) (Linexpr.var (suffix v)))
               else None)
-            o1.Exec.loops
+            o1.Instances.loops
         in
         let carried dir =
           match dir with
@@ -89,31 +92,32 @@ let analyze ?ctx (prog : Ast.program) : (Ast.path * string * status) list =
                       List.exists
                         (fun w ->
                           w.kind = kind && w.array = a1
-                          && w.src = o1.Exec.stmt.Ast.label
-                          && w.dst = o2.Exec.stmt.Ast.label)
+                          && w.src = o1.Instances.stmt.Ast.label
+                          && w.dst = o2.Instances.stmt.Ast.label)
                         !witnesses
                     in
                     if not already then
                       let subs =
                         List.map2
-                          (fun r1 r2 -> Exec.raff_eq_constr r1 (Exec.raff_rename suffix r2))
+                          (fun r1 r2 ->
+                            Instances.raff_eq_constr r1 (Instances.raff_rename suffix r2))
                           idx1 idx2
                       in
-                      let conflict (c1 : Exec.ctxt) (c2 : Exec.ctxt) dir =
+                      let conflict (c1 : Instances.ctxt) (c2 : Instances.ctxt) dir =
                         let sys =
                           (carried dir :: outer_eq)
-                          @ subs @ c1.Exec.sys
-                          @ System.rename suffix c2.Exec.sys
+                          @ subs @ c1.Instances.sys
+                          @ System.rename suffix c2.Instances.sys
                         in
                         match satisfiable ?ctx sys with
                         | true ->
-                            if c1.Exec.exact && c2.Exec.exact then (
+                            if c1.Instances.exact && c2.Instances.exact then (
                               let w =
                                 {
                                   kind;
                                   array = a1;
-                                  src = o1.Exec.stmt.Ast.label;
-                                  dst = o2.Exec.stmt.Ast.label;
+                                  src = o1.Instances.stmt.Ast.label;
+                                  dst = o2.Instances.stmt.Ast.label;
                                 }
                               in
                               (* both directions / several contexts can
@@ -135,8 +139,8 @@ let analyze ?ctx (prog : Ast.program) : (Ast.path * string * status) list =
                             (fun c2 ->
                               conflict c1 c2 `Lt;
                               conflict c1 c2 `Gt)
-                            o2.Exec.ctxts)
-                        o1.Exec.ctxts)
+                            o2.Instances.ctxts)
+                        o1.Instances.ctxts)
                 refs2)
           refs1
       in
@@ -148,4 +152,4 @@ let analyze ?ctx (prog : Ast.program) : (Ast.path * string * status) list =
         | ws, _ -> Serial (List.rev ws)
       in
       (lpath, l.Ast.var, status))
-    (Exec.loops_of prog)
+    (Instances.loops_of prog)

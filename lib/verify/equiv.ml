@@ -42,7 +42,7 @@ module Omega = Inl_presburger.Omega
 module Ast = Inl_ir.Ast
 module Pp = Inl_ir.Pp
 module Diag = Inl_diag.Diag
-module Smap = Exec.Smap
+module Smap = Instances.Smap
 module Pool = Inl_parallel.Pool
 
 let vdiag sev code fmt =
@@ -64,11 +64,14 @@ let suffix_nonparams ~params sfx v = if List.mem v params then v else v ^ sfx
 
 (* ---------- rational affine helpers ---------- *)
 
-let raff_sub (a : Exec.raff) (b : Exec.raff) : Exec.raff =
-  Exec.raff_normalize
+let raff_sub (a : Instances.raff) (b : Instances.raff) : Instances.raff =
+  Instances.raff_normalize
     {
-      Exec.num = Linexpr.sub (Linexpr.scale b.Exec.den a.Exec.num) (Linexpr.scale a.Exec.den b.Exec.num);
-      den = Mpz.mul a.Exec.den b.Exec.den;
+      Instances.num =
+        Linexpr.sub
+          (Linexpr.scale b.Instances.den a.Instances.num)
+          (Linexpr.scale a.Instances.den b.Instances.num);
+      den = Mpz.mul a.Instances.den b.Instances.den;
     }
 
 (* ---------- statement-body lockstep walk ---------- *)
@@ -97,13 +100,13 @@ and combine op a b =
    [source value = generated value] equations for affine positions and
    requiring identical structure elsewhere. *)
 let rec lockstep ~senv ~genv (a : Ast.expr) (b : Ast.expr) acc :
-    ((Exec.raff * Exec.raff) list, string) result =
+    ((Instances.raff * Instances.raff) list, string) result =
   let ( let* ) = Result.bind in
   let mismatch () =
     Error (Format.asprintf "%a differs from %a" (Pp.pp_expr ~ctx:0) a (Pp.pp_expr ~ctx:0) b)
   in
   match (affine_of_expr a, affine_of_expr b) with
-  | Some s, Some g -> Ok ((Exec.subst_env senv s, Exec.subst_env genv g) :: acc)
+  | Some s, Some g -> Ok ((Instances.subst_env senv s, Instances.subst_env genv g) :: acc)
   | _ -> (
       match (a, b) with
       | Ast.Eref ra, Ast.Eref rb
@@ -111,7 +114,7 @@ let rec lockstep ~senv ~genv (a : Ast.expr) (b : Ast.expr) acc :
              && List.length ra.Ast.index = List.length rb.Ast.index ->
           Ok
             (List.fold_left2
-               (fun acc sa gb -> (Exec.subst_env senv sa, Exec.subst_env genv gb) :: acc)
+               (fun acc sa gb -> (Instances.subst_env senv sa, Instances.subst_env genv gb) :: acc)
                acc ra.Ast.index rb.Ast.index)
       | Ast.Econst x, Ast.Econst y when Float.equal x y -> Ok acc
       | Ast.Ebin (o1, a1, b1), Ast.Ebin (o2, a2, b2) when o1 = o2 ->
@@ -182,15 +185,15 @@ let solve_q (rows : Q.t array list) ~(n : int) ~(c : int) :
 
 (* ---------- correspondence inference ---------- *)
 
-type sigma = Exec.raff Smap.t
+type sigma = Instances.raff Smap.t
 
 (* Coordinates of the right-hand sides: generated loop variables and
    parameters, plus the constant. *)
-let raff_coord (r : Exec.raff) = function
-  | `Const -> Q.make (Linexpr.constant r.Exec.num) r.Exec.den
-  | `Var v -> Q.make (Linexpr.coeff r.Exec.num v) r.Exec.den
+let raff_coord (r : Instances.raff) = function
+  | `Const -> Q.make (Linexpr.constant r.Instances.num) r.Instances.den
+  | `Var v -> Q.make (Linexpr.coeff r.Instances.num v) r.Instances.den
 
-let raff_of_qrow coords (q : Q.t array) : Exec.raff =
+let raff_of_qrow coords (q : Q.t array) : Instances.raff =
   let den = Array.fold_left (fun acc x -> Mpz.lcm acc (Q.den x)) Mpz.one q in
   let num = ref Linexpr.zero in
   List.iteri
@@ -202,16 +205,17 @@ let raff_of_qrow coords (q : Q.t array) : Exec.raff =
           | `Const -> Linexpr.const scaled
           | `Var v -> Linexpr.term scaled v))
     coords;
-  Exec.raff_normalize { Exec.num = !num; den }
+  Instances.raff_normalize { Instances.num = !num; den }
 
 (* Infer sigma for one statement: source iterator |-> rational affine
    over the generated program's variables. *)
-let infer_sigma ~(src : Exec.occurrence) ~(gen : Exec.occurrence) : (sigma, Diag.t) result =
-  let label = src.Exec.stmt.Ast.label in
-  let senv = (List.hd src.Exec.ctxts).Exec.env in
-  let genv = (List.hd gen.Exec.ctxts).Exec.env in
-  let iters = List.map snd src.Exec.loops in
-  match stmt_equations ~senv ~genv src.Exec.stmt gen.Exec.stmt with
+let infer_sigma ~(src : Instances.occurrence) ~(gen : Instances.occurrence) :
+    (sigma, Diag.t) result =
+  let label = src.Instances.stmt.Ast.label in
+  let senv = (List.hd src.Instances.ctxts).Instances.env in
+  let genv = (List.hd gen.Instances.ctxts).Instances.env in
+  let iters = List.map snd src.Instances.loops in
+  match stmt_equations ~senv ~genv src.Instances.stmt gen.Instances.stmt with
   | Error why ->
       Error (vdiag Diag.Error "V105" "statement %s computes a different expression: %s" label why)
   | Ok eqs ->
@@ -219,10 +223,10 @@ let infer_sigma ~(src : Exec.occurrence) ~(gen : Exec.occurrence) : (sigma, Diag
         List.filter_map
           (fun v ->
             match Smap.find_opt v genv with
-            | Some r -> Some (Exec.raff_of_var v, r)
+            | Some r -> Some (Instances.raff_of_var v, r)
             | None ->
-                if List.exists (fun (_, gv) -> gv = v) gen.Exec.loops then
-                  Some (Exec.raff_of_var v, Exec.raff_of_var v)
+                if List.exists (fun (_, gv) -> gv = v) gen.Instances.loops then
+                  Some (Instances.raff_of_var v, Instances.raff_of_var v)
                 else None)
           iters
       in
@@ -232,22 +236,24 @@ let infer_sigma ~(src : Exec.occurrence) ~(gen : Exec.occurrence) : (sigma, Diag
       else
         (* Split each equation s = g into unknown part (coefficients of
            the iterators in s) and right-hand side g - (rest of s). *)
-        let split (s : Exec.raff) (g : Exec.raff) =
+        let split (s : Instances.raff) (g : Instances.raff) =
           let coeffs =
-            List.map (fun v -> Q.make (Linexpr.coeff s.Exec.num v) s.Exec.den) iters
+            List.map (fun v -> Q.make (Linexpr.coeff s.Instances.num v) s.Instances.den) iters
           in
           let rest =
             List.fold_left
               (fun e v -> Linexpr.sub e (Linexpr.term (Linexpr.coeff e v) v))
-              s.Exec.num iters
+              s.Instances.num iters
           in
-          (coeffs, raff_sub g { Exec.num = rest; den = s.Exec.den })
+          (coeffs, raff_sub g { Instances.num = rest; den = s.Instances.den })
         in
         let split_eqs = List.map (fun (s, g) -> split s g) eqs in
         let coords =
           `Const
           :: List.sort_uniq compare
-               (List.concat_map (fun (_, r) -> List.map (fun v -> `Var v) (Linexpr.vars r.Exec.num)) split_eqs)
+               (List.concat_map
+                  (fun (_, r) -> List.map (fun v -> `Var v) (Linexpr.vars r.Instances.num))
+                  split_eqs)
         in
         let c = List.length coords in
         let rows =
@@ -353,12 +359,15 @@ let gen_suffix = "!gen"
 
 (* Executed source-instance sets of one generated context, as systems
    over the source iterators and parameters. *)
-let coverage ?ctx ~params ~(iters : string list) (sigma : sigma) (c : Exec.ctxt) : System.t list =
+let coverage ?ctx ~params ~(iters : string list) (sigma : sigma) (c : Instances.ctxt) :
+    System.t list =
   let ren = suffix_nonparams ~params gen_suffix in
-  let sys = System.rename ren c.Exec.sys in
+  let sys = System.rename ren c.Instances.sys in
   let link =
     List.map
-      (fun v -> Exec.raff_eq_constr (Exec.raff_of_var v) (Exec.raff_rename ren (Smap.find v sigma)))
+      (fun v ->
+        Instances.raff_eq_constr (Instances.raff_of_var v)
+          (Instances.raff_rename ren (Smap.find v sigma)))
       iters
   in
   let keep x = List.mem x iters || List.mem x params in
@@ -388,8 +397,8 @@ let common_loops (l1 : (Ast.path * string) list) (l2 : (Ast.path * string) list)
 (* ---------- the checker ---------- *)
 
 type pairing = {
-  src : Exec.occurrence;
-  gen : Exec.occurrence;
+  src : Instances.occurrence;
+  gen : Instances.occurrence;
   sigma : (sigma, Diag.t) result;
   exact : bool;  (** both execution sets are represented exactly *)
 }
@@ -401,15 +410,15 @@ let budgeted ~what add (f : unit -> unit) =
   | Unknown why -> add (vdiag Diag.Warning "V900" "check skipped (%s): %s" why what)
 
 let check_sets ?ctx ~params add (p : pairing) =
-  let label = p.src.Exec.stmt.Ast.label in
+  let label = p.src.Instances.stmt.Ast.label in
   match p.sigma with
   | Error d -> add d
   | Ok _ when not p.exact -> () (* already reported as V900 by [check] *)
   | Ok sigma ->
-      let iters = List.map snd p.src.Exec.loops in
-      let src_sets = List.map (fun (c : Exec.ctxt) -> c.Exec.sys) p.src.Exec.ctxts in
+      let iters = List.map snd p.src.Instances.loops in
+      let src_sets = List.map (fun (c : Instances.ctxt) -> c.Instances.sys) p.src.Instances.ctxts in
       budgeted ~what:(Printf.sprintf "instance-set preservation for %s" label) add (fun () ->
-          let cover = List.concat_map (coverage ?ctx ~params ~iters sigma) p.gen.Exec.ctxts in
+          let cover = List.concat_map (coverage ?ctx ~params ~iters sigma) p.gen.Instances.ctxts in
           if diff_nonempty ?ctx src_sets cover then
             add
               (vdiag Diag.Error "V101"
@@ -423,7 +432,7 @@ let check_sets ?ctx ~params add (p : pairing) =
                  label));
       budgeted ~what:(Printf.sprintf "injectivity for %s" label) add (fun () ->
           let ren2 = suffix_nonparams ~params "!2" in
-          let gen_loop_vars = List.map snd p.gen.Exec.loops in
+          let gen_loop_vars = List.map snd p.gen.Instances.loops in
           let distinct =
             order_branches gen_loop_vars ~ra:(fun v -> v) ~rb:ren2 ~tie:false
             @ order_branches gen_loop_vars ~ra:ren2 ~rb:(fun v -> v) ~tie:false
@@ -431,21 +440,21 @@ let check_sets ?ctx ~params add (p : pairing) =
           let same_instance =
             List.map
               (fun v ->
-                Exec.raff_eq_constr (Smap.find v sigma)
-                  (Exec.raff_rename ren2 (Smap.find v sigma)))
+                Instances.raff_eq_constr (Smap.find v sigma)
+                  (Instances.raff_rename ren2 (Smap.find v sigma)))
               iters
           in
           let dup =
             List.exists
-              (fun (c1 : Exec.ctxt) ->
+              (fun (c1 : Instances.ctxt) ->
                 List.exists
-                  (fun (c2 : Exec.ctxt) ->
+                  (fun (c2 : Instances.ctxt) ->
                     let base =
-                      same_instance @ c1.Exec.sys @ System.rename ren2 c2.Exec.sys
+                      same_instance @ c1.Instances.sys @ System.rename ren2 c2.Instances.sys
                     in
                     List.exists (fun branch -> satisfiable ?ctx (branch @ base)) distinct)
-                  p.gen.Exec.ctxts)
-              p.gen.Exec.ctxts
+                  p.gen.Instances.ctxts)
+              p.gen.Instances.ctxts
           in
           if dup then
             add
@@ -465,41 +474,41 @@ let check_pair_order ?ctx ~params (p1, p2) : Diag.t list =
   let reported = ref [] in
   (match (p1.sigma, p2.sigma) with
       | Ok sigma1, Ok sigma2 when p1.exact && p2.exact ->
-          let l1 = p1.src.Exec.stmt.Ast.label and l2 = p2.src.Exec.stmt.Ast.label in
-          let senv1 = (List.hd p1.src.Exec.ctxts).Exec.env
-          and senv2 = (List.hd p2.src.Exec.ctxts).Exec.env in
-          let refs1 = Exec.refs_of senv1 p1.src.Exec.stmt
-          and refs2 = Exec.refs_of senv2 p2.src.Exec.stmt in
+          let l1 = p1.src.Instances.stmt.Ast.label and l2 = p2.src.Instances.stmt.Ast.label in
+          let senv1 = (List.hd p1.src.Instances.ctxts).Instances.env
+          and senv2 = (List.hd p2.src.Instances.ctxts).Instances.env in
+          let refs1 = Instances.refs_of senv1 p1.src.Instances.stmt
+          and refs2 = Instances.refs_of senv2 p2.src.Instances.stmt in
           let rs = suffix_nonparams ~params "!s"
           and rx = suffix_nonparams ~params "!x"
           and ry = suffix_nonparams ~params "!y" in
-          let src_common = common_loops p1.src.Exec.loops p2.src.Exec.loops in
+          let src_common = common_loops p1.src.Instances.loops p2.src.Instances.loops in
           let src_before =
             order_branches src_common
               ~ra:(fun v -> v)
               ~rb:rs
-              ~tie:(Ast.syntactic_compare p1.src.Exec.path p2.src.Exec.path < 0)
+              ~tie:(Ast.syntactic_compare p1.src.Instances.path p2.src.Instances.path < 0)
           in
-          let gen_common = common_loops p1.gen.Exec.loops p2.gen.Exec.loops in
+          let gen_common = common_loops p1.gen.Instances.loops p2.gen.Instances.loops in
           let gen_violation =
             order_branches gen_common ~ra:ry ~rb:rx
-              ~tie:(Ast.syntactic_compare p2.gen.Exec.path p1.gen.Exec.path <= 0)
+              ~tie:(Ast.syntactic_compare p2.gen.Instances.path p1.gen.Instances.path <= 0)
           in
-          let iters1 = List.map snd p1.src.Exec.loops
-          and iters2 = List.map snd p2.src.Exec.loops in
+          let iters1 = List.map snd p1.src.Instances.loops
+          and iters2 = List.map snd p2.src.Instances.loops in
           let links1 =
             List.map
               (fun v ->
-                Exec.raff_eq_constr
-                  (Exec.raff_rename rx (Smap.find v sigma1))
-                  (Exec.raff_of_var v))
+                Instances.raff_eq_constr
+                  (Instances.raff_rename rx (Smap.find v sigma1))
+                  (Instances.raff_of_var v))
               iters1
           and links2 =
             List.map
               (fun v ->
-                Exec.raff_eq_constr
-                  (Exec.raff_rename ry (Smap.find v sigma2))
-                  (Exec.raff_of_var (rs v)))
+                Instances.raff_eq_constr
+                  (Instances.raff_rename ry (Smap.find v sigma2))
+                  (Instances.raff_of_var (rs v)))
               iters2
           in
           List.iter
@@ -513,7 +522,7 @@ let check_pair_order ?ctx ~params (p1, p2) : Diag.t list =
                   then
                     let subs =
                       List.map2
-                        (fun r1 r2 -> Exec.raff_eq_constr r1 (Exec.raff_rename rs r2))
+                        (fun r1 r2 -> Instances.raff_eq_constr r1 (Instances.raff_rename rs r2))
                         idx1 idx2
                     in
                     budgeted
@@ -522,11 +531,11 @@ let check_pair_order ?ctx ~params (p1, p2) : Diag.t list =
                       add
                       (fun () ->
                         List.iter
-                          (fun (sc1 : Exec.ctxt) ->
+                          (fun (sc1 : Instances.ctxt) ->
                             List.iter
-                              (fun (sc2 : Exec.ctxt) ->
+                              (fun (sc2 : Instances.ctxt) ->
                                 let src_base =
-                                  subs @ sc1.Exec.sys @ System.rename rs sc2.Exec.sys
+                                  subs @ sc1.Instances.sys @ System.rename rs sc2.Instances.sys
                                 in
                                 List.iter
                                   (fun before ->
@@ -539,12 +548,12 @@ let check_pair_order ?ctx ~params (p1, p2) : Diag.t list =
                                          against it *)
                                       let violated =
                                         List.exists
-                                          (fun (d1 : Exec.ctxt) ->
+                                          (fun (d1 : Instances.ctxt) ->
                                             List.exists
-                                              (fun (d2 : Exec.ctxt) ->
+                                              (fun (d2 : Instances.ctxt) ->
                                                 let gsys =
-                                                  System.rename rx d1.Exec.sys
-                                                  @ System.rename ry d2.Exec.sys
+                                                  System.rename rx d1.Instances.sys
+                                                  @ System.rename ry d2.Instances.sys
                                                 in
                                                 List.exists
                                                   (fun viol ->
@@ -552,8 +561,8 @@ let check_pair_order ?ctx ~params (p1, p2) : Diag.t list =
                                                       (viol @ links1 @ links2 @ gsys
                                                      @ before @ src_base))
                                                   gen_violation)
-                                              p2.gen.Exec.ctxts)
-                                          p1.gen.Exec.ctxts
+                                              p2.gen.Instances.ctxts)
+                                          p1.gen.Instances.ctxts
                                       in
                                       if violated then begin
                                         reported := (l1, l2, a1) :: !reported;
@@ -564,8 +573,8 @@ let check_pair_order ?ctx ~params (p1, p2) : Diag.t list =
                                              l1 l2 a1)
                                       end)
                                   src_before)
-                              p2.src.Exec.ctxts)
-                          p1.src.Exec.ctxts))
+                              p2.src.Instances.ctxts)
+                          p1.src.Instances.ctxts))
                 refs2)
             refs1
   | _ -> () (* sigma failures / inexact sets already reported per statement *));
@@ -577,48 +586,54 @@ let check_dependence_order ?ctx ~params add (pairings : pairing list) =
 
 let check ?ctx ~(source : Ast.program) (gen : Ast.program) : Diag.t list =
   let params = List.sort_uniq compare (source.Ast.params @ gen.Ast.params) in
-  let src_occs = Exec.extract source in
-  let gen_occs = Exec.extract gen in
+  let src_occs = Instances.extract source in
+  let gen_occs = Instances.extract gen in
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let find_gen l = List.find_opt (fun (o : Exec.occurrence) -> o.Exec.stmt.Ast.label = l) gen_occs in
+  let find_gen l =
+    List.find_opt (fun (o : Instances.occurrence) -> o.Instances.stmt.Ast.label = l) gen_occs
+  in
   List.iter
-    (fun (o : Exec.occurrence) ->
-      if find_gen o.Exec.stmt.Ast.label = None then
+    (fun (o : Instances.occurrence) ->
+      if find_gen o.Instances.stmt.Ast.label = None then
         (* a statement that provably never executes (empty bounds for
            every parameter value) may legitimately vanish: dropping it
            preserves the (empty) instance set *)
-        if List.exists (fun (c : Exec.ctxt) -> satisfiable ?ctx c.Exec.sys) o.Exec.ctxts then
+        if
+          List.exists (fun (c : Instances.ctxt) -> satisfiable ?ctx c.Instances.sys)
+            o.Instances.ctxts
+        then
           add
             (vdiag Diag.Error "V106" "statement %s is missing from the transformed program"
-               o.Exec.stmt.Ast.label)
+               o.Instances.stmt.Ast.label)
         else
           add
             (vdiag Diag.Warning "V107"
                "statement %s has a provably empty execution set and was dropped"
-               o.Exec.stmt.Ast.label))
+               o.Instances.stmt.Ast.label))
     src_occs;
   List.iter
-    (fun (o : Exec.occurrence) ->
+    (fun (o : Instances.occurrence) ->
       if
         not
           (List.exists
-             (fun (s : Exec.occurrence) -> s.Exec.stmt.Ast.label = o.Exec.stmt.Ast.label)
+             (fun (s : Instances.occurrence) ->
+               s.Instances.stmt.Ast.label = o.Instances.stmt.Ast.label)
              src_occs)
       then
         add
           (vdiag Diag.Error "V106" "statement %s does not occur in the source program"
-             o.Exec.stmt.Ast.label))
+             o.Instances.stmt.Ast.label))
     gen_occs;
   let pairings =
     List.filter_map
-      (fun (src : Exec.occurrence) ->
-        match find_gen src.Exec.stmt.Ast.label with
+      (fun (src : Instances.occurrence) ->
+        match find_gen src.Instances.stmt.Ast.label with
         | None -> None
         | Some gen ->
             let exact =
-              List.for_all (fun (c : Exec.ctxt) -> c.Exec.exact) src.Exec.ctxts
-              && List.for_all (fun (c : Exec.ctxt) -> c.Exec.exact) gen.Exec.ctxts
+              List.for_all (fun (c : Instances.ctxt) -> c.Instances.exact) src.Instances.ctxts
+              && List.for_all (fun (c : Instances.ctxt) -> c.Instances.exact) gen.Instances.ctxts
             in
             Some { src; gen; sigma = infer_sigma ~src ~gen; exact })
       src_occs
@@ -629,7 +644,7 @@ let check ?ctx ~(source : Ast.program) (gen : Ast.program) : Diag.t list =
         add
           (vdiag Diag.Warning "V900"
              "statement %s: execution set only representable approximately; checks degraded"
-             p.src.Exec.stmt.Ast.label))
+             p.src.Instances.stmt.Ast.label))
     pairings;
   (* per-pairing set checks are independent: collect each task's
      findings locally, merge in pairing order *)

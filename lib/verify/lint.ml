@@ -46,10 +46,10 @@ let satisfiable sys = match System.normalize sys with None -> false | Some s -> 
 (* d | e (a rational affine num/den) holds everywhere in sys?
    Equivalent to: no residue 1..d-1 is reachable.  [None] when d is too
    large to enumerate. *)
-let always_divides sys (r : Exec.raff) (d : Mpz.t) : bool option =
+let always_divides sys (r : Instances.raff) (d : Mpz.t) : bool option =
   match Mpz.to_int_opt d with
   | Some di when di <= max_modulus ->
-      let m = Mpz.mul r.Exec.den d in
+      let m = Mpz.mul r.Instances.den d in
       let rec residues i =
         if i >= di then true
         else
@@ -58,7 +58,8 @@ let always_divides sys (r : Exec.raff) (d : Mpz.t) : bool option =
           let c =
             Constr.eq
               (Linexpr.sub
-                 (Linexpr.sub r.Exec.num (Linexpr.const (Mpz.mul (Mpz.of_int i) r.Exec.den)))
+                 (Linexpr.sub r.Instances.num
+                    (Linexpr.const (Mpz.mul (Mpz.of_int i) r.Instances.den)))
                  (Linexpr.term m w))
           in
           if satisfiable (c :: sys) then false else residues (i + 1)
@@ -69,10 +70,10 @@ let always_divides sys (r : Exec.raff) (d : Mpz.t) : bool option =
 let guard_redundant sys env (g : Ast.guard) : bool option =
   match g with
   | Ast.Gcmp (op, e) ->
-      let r = Exec.subst_env env e in
-      let c = match op with `Ge -> Constr.ge r.Exec.num | `Eq -> Constr.eq r.Exec.num in
+      let r = Instances.subst_env env e in
+      let c = match op with `Ge -> Constr.ge r.Instances.num | `Eq -> Constr.eq r.Instances.num in
       Some (Omega.implies sys c)
-  | Ast.Gdiv (d, e) -> always_divides sys (Exec.subst_env env e) d
+  | Ast.Gdiv (d, e) -> always_divides sys (Instances.subst_env env e) d
 
 let check_structure (prog : Ast.program) : Diag.t list =
   match Ast.validate prog with
@@ -102,11 +103,14 @@ let run (prog : Ast.program) : Diag.t list =
         match node with
         | Ast.Stmt _ -> ()
         | Ast.If (gs, body) ->
-            let inner = List.map (fun c -> Exec.enter_if c gs) ctxts in
+            let inner = List.map (fun c -> Instances.enter_if c gs) ctxts in
             let live' = ref live in
             if live then
               budgeted ~what:"guard reachability" diags (fun () ->
-                  if not (List.exists (fun (c : Exec.ctxt) -> satisfiable c.Exec.sys) inner) then (
+                  if
+                    not
+                      (List.exists (fun (c : Instances.ctxt) -> satisfiable c.Instances.sys) inner)
+                  then (
                     live' := false;
                     [ vdiag Diag.Warning "V002" "guard is unreachable: %a" pp_guards gs ])
                   else
@@ -114,9 +118,9 @@ let run (prog : Ast.program) : Diag.t list =
                       (fun g ->
                         let redundant =
                           List.for_all
-                            (fun (c : Exec.ctxt) ->
-                              satisfiable c.Exec.sys = false
-                              || guard_redundant c.Exec.sys c.Exec.env g = Some true)
+                            (fun (c : Instances.ctxt) ->
+                              satisfiable c.Instances.sys = false
+                              || guard_redundant c.Instances.sys c.Instances.env g = Some true)
                             ctxts
                         in
                         if redundant then
@@ -128,17 +132,17 @@ let run (prog : Ast.program) : Diag.t list =
                       gs);
             List.iter (go inner ~live:!live') body
         | Ast.Let (v, t, body) ->
-            let r = Exec.subst_env (List.hd ctxts).Exec.env t.Ast.num in
-            let d = Mpz.mul r.Exec.den t.Ast.den in
+            let r = Instances.subst_env (List.hd ctxts).Instances.env t.Ast.num in
+            let d = Mpz.mul r.Instances.den t.Ast.den in
             if live && not (Mpz.is_one d) then
               budgeted ~what:(Printf.sprintf "divisibility of let %s" v) diags (fun () ->
                   let guarded =
                     List.for_all
-                      (fun (c : Exec.ctxt) ->
-                        satisfiable c.Exec.sys = false
+                      (fun (c : Instances.ctxt) ->
+                        satisfiable c.Instances.sys = false
                         ||
-                        let rr = Exec.subst_env c.Exec.env t.Ast.num in
-                        always_divides c.Exec.sys rr t.Ast.den = Some true)
+                        let rr = Instances.subst_env c.Instances.env t.Ast.num in
+                        always_divides c.Instances.sys rr t.Ast.den = Some true)
                       ctxts
                   in
                   if guarded then []
@@ -149,13 +153,16 @@ let run (prog : Ast.program) : Diag.t list =
                          (execution would fault)"
                         v Mpz.pp t.Ast.den;
                     ]);
-            List.iter (go (List.map (fun c -> Exec.enter_let c v t) ctxts) ~live) body
+            List.iter (go (List.map (fun c -> Instances.enter_let c v t) ctxts) ~live) body
         | Ast.Loop l ->
-            let inner = List.concat_map (fun c -> Exec.enter_loop c l) ctxts in
+            let inner = List.concat_map (fun c -> Instances.enter_loop c l) ctxts in
             let live' = ref live in
             if live then
               budgeted ~what:(Printf.sprintf "bounds of loop %s" l.Ast.var) diags (fun () ->
-                  if not (List.exists (fun (c : Exec.ctxt) -> satisfiable c.Exec.sys) inner) then (
+                  if
+                    not
+                      (List.exists (fun (c : Instances.ctxt) -> satisfiable c.Instances.sys) inner)
+                  then (
                     live' := false;
                     [ vdiag Diag.Warning "V001" "loop %s never executes (empty bounds)" l.Ast.var ])
                   else if singular ctxts l then
@@ -173,18 +180,18 @@ let run (prog : Ast.program) : Diag.t list =
         && l.Ast.upper.Ast.combine = `Min
         && Mpz.is_one l.Ast.step
         && List.for_all
-             (fun (c : Exec.ctxt) ->
+             (fun (c : Instances.ctxt) ->
                let v = l.Ast.var in
                let v' = v ^ "!2" in
                let bounds var =
-                 List.map (Exec.lower_constr c.Exec.env var) l.Ast.lower.Ast.terms
-                 @ List.map (Exec.upper_constr c.Exec.env var) l.Ast.upper.Ast.terms
+                 List.map (Instances.lower_constr c.Instances.env var) l.Ast.lower.Ast.terms
+                 @ List.map (Instances.upper_constr c.Instances.env var) l.Ast.upper.Ast.terms
                in
                not
                  (satisfiable
                     ((Constr.lt2 (Linexpr.var v) (Linexpr.var v') :: bounds v)
-                    @ bounds v' @ c.Exec.sys)))
+                    @ bounds v' @ c.Instances.sys)))
              ctxts
       in
-      List.iter (go [ Exec.initial ] ~live:true) prog.Ast.nest;
+      List.iter (go [ Instances.initial ] ~live:true) prog.Ast.nest;
       List.rev !diags

@@ -48,6 +48,20 @@ let run ?against (prog : Ast.program) : report =
 
 let diags (r : report) : Diag.t list = r.lint @ r.equiv
 
+(* The one reading of a report that every front end renders: an error
+   fails it, a warning (a lint finding or a budget-degraded check)
+   leaves it incomplete. *)
+type verdict = Verified | Incomplete | Failed
+
+let verdict (r : report) : verdict =
+  let ds = diags r in
+  if Diag.has_errors ds then Failed else if Diag.has_warnings ds then Incomplete else Verified
+
+let verdict_to_string = function
+  | Verified -> "verified"
+  | Incomplete -> "incomplete"
+  | Failed -> "failed"
+
 (* The input program with "/* parallel */" on every provably parallel
    loop header. *)
 let annotated (prog : Ast.program) (loops : (Ast.path * string * Doall.status) list) : string =

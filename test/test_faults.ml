@@ -16,9 +16,9 @@ let with_faults spec f =
   Fun.protect ~finally:(fun () -> Faults.install Faults.none) f
 
 let with_budget b f =
-  let saved = Inl.Omega.get_default_budget () in
-  Inl.Omega.set_default_budget b;
-  Fun.protect ~finally:(fun () -> Inl.Omega.set_default_budget saved) f
+  let saved = Inl.Budget.current () in
+  Inl.Budget.install b;
+  Fun.protect ~finally:(fun () -> Inl.Budget.install saved) f
 
 let kernels =
   [

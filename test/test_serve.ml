@@ -225,7 +225,7 @@ let test_handle_isolation () =
      process defaults or the next request *)
   let t = make_server () in
   Faults.install Faults.none;
-  let base = Omega.get_default_budget () in
+  let base = Budget.current () in
   let line =
     {|{"id":1,"method":"analyze","program":|}
     ^ Json.to_string (Json.String good_src)
@@ -236,7 +236,7 @@ let test_handle_isolation () =
     (Json.bool_field "degraded" resp);
   Alcotest.(check bool) "fault scope restored" false (Faults.active ());
   Alcotest.(check int) "budget restored" base.Budget.fm_work
-    (Omega.get_default_budget ()).Budget.fm_work;
+    (Budget.current ()).Budget.fm_work;
   (* the very same program, unfaulted, now analyzes exactly *)
   let clean =
     {|{"id":2,"method":"analyze","program":|} ^ Json.to_string (Json.String good_src) ^ "}"

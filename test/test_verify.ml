@@ -233,10 +233,10 @@ let test_doall_serial () =
 (* ---- budget degradation ---- *)
 
 let test_budget_degrades () =
-  let saved = Inl.Omega.get_default_budget () in
-  Inl.Omega.set_default_budget (Budget.with_fm_work Budget.default 30);
+  let saved = Inl.Budget.current () in
+  Inl.Budget.install (Budget.with_fm_work Budget.default 30);
   Fun.protect
-    ~finally:(fun () -> Inl.Omega.set_default_budget saved)
+    ~finally:(fun () -> Inl.Budget.install saved)
     (fun () ->
       let ds = against_cholesky cholesky_gen in
       Alcotest.(check bool) "no errors, only degradation" false (Diag.has_errors ds);
