@@ -38,6 +38,7 @@ module Diag = Inl.Diag
 module Budget = Inl.Budget
 module Faults = Inl.Faults
 module Sigint = Inl_diag.Sigint
+module Opt = Inl_diag.Opt
 open Cmdliner
 
 let print_diags ds = List.iter (fun d -> prerr_endline (Diag.to_string d)) ds
@@ -70,49 +71,68 @@ let parse_only = load_with Inl.parse
 let write_file path contents =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
 
+(* An optional string (or file) argument, [None] when absent. *)
+let some_arg ?(conv = Arg.string) ?env names ~docv ~doc =
+  Arg.value (Arg.opt (Arg.some conv) None (Arg.info names ~docv ?env ~doc))
+
+(* ---- numeric options: one reader per declaration (Inl_diag.Opt) ---- *)
+
+(* Cmdliner parses the integer; the declaration's range check runs while
+   the command line is evaluated, before any command body.  A refusal
+   waits here for [setup], which answers it as D702 (exit 1). *)
+let refused = ref []
+
+let num_info ?names ?env ?(docv = "N") ~doc o =
+  let names = Option.value names ~default:[ Opt.flag o ] in
+  let check n =
+    let name = List.find (fun n -> String.length n > 1) names in
+    Result.iter_error (fun m -> refused := m :: !refused) (Opt.check ~name o n);
+    n
+  in
+  (check, Arg.info names ~docv ?env ~doc:(Printf.sprintf "%s  Range: %s." doc (Opt.expected o)))
+
+(* An option the command reads as [None] when it is absent. *)
+let num_opt ?names ?env ?docv ~doc o =
+  let check, arg_info = num_info ?names ?env ?docv ~doc o in
+  Term.(const (Option.map check) $ Arg.(value & opt (some int) None & arg_info))
+
+(* An option with a default: the declaration's, unless [default] is given. *)
+let num ?names ?docv ?default ~doc o =
+  let check, arg_info = num_info ?names ?docv ~doc o in
+  let default = match default with Some d -> d | None -> Opt.default o in
+  Term.(const check $ Arg.(value & opt int default & arg_info))
+
 (* ---- common arguments: resource budget and fault injection ---- *)
 
 let budget_arg =
-  let env =
-    Cmd.Env.info "INL_FM_BUDGET"
-      ~doc:"Default for the $(b,--budget) option: Fourier-Motzkin work budget per projection."
-  in
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "budget" ] ~docv:"N" ~env
-        ~doc:
-          "Fourier-Motzkin work budget: items processed per Omega projection (default \
-           $(b,500000)).  A projection that exhausts the budget degrades to a conservative \
-           approximate dependence instead of aborting; the command then exits with code 2.")
+  num_opt Opt.budget
+    ~env:
+      (Cmd.Env.info "INL_FM_BUDGET"
+         ~doc:"Default for the $(b,--budget) option: Fourier-Motzkin work budget per projection.")
+    ~doc:
+      "Fourier-Motzkin work budget: items processed per Omega projection (default \
+       $(b,500000)).  A projection that exhausts the budget degrades to a conservative \
+       approximate dependence instead of aborting; the command then exits with code 2."
 
 let faults_arg =
-  let env =
-    Cmd.Env.info "INL_FAULTS" ~doc:"Default for the $(b,--inject-faults) option."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "inject-faults" ] ~docv:"SPEC" ~env
-        ~doc:
-          "Fault-injection spec for robustness testing: comma-separated $(b,key=value) pairs \
-           among $(b,every=N) (fail every Nth projection), $(b,after=N) (fail all projections \
-           after the Nth), $(b,cap=K) (cap the work budget at K items) and $(b,hang=N) (hang \
-           every projection after the Nth — exercises the fuzz driver's wall-clock watchdog); \
-           $(b,off) disables.")
+  some_arg [ "inject-faults" ] ~docv:"SPEC"
+    ~env:(Cmd.Env.info "INL_FAULTS" ~doc:"Default for the $(b,--inject-faults) option.")
+    ~doc:
+      "Fault-injection spec for robustness testing: comma-separated $(b,key=value) pairs \
+       among $(b,every=N) (fail every Nth projection), $(b,after=N) (fail all projections \
+       after the Nth), $(b,cap=K) (cap the work budget at K items) and $(b,hang=N) (hang \
+       every projection after the Nth — exercises the fuzz driver's wall-clock watchdog); \
+       $(b,off) disables."
 
 let jobs_arg =
-  let env = Cmd.Env.info "INL_JOBS" ~doc:"Default for the $(b,--jobs) option." in
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N" ~env
-        ~doc:
-          "Worker domains for the parallel analysis phases (default $(b,1): fully \
-           sequential).  With N > 1, dependence queries, per-dependence legality checks, \
-           completion-search structures and verification pairs fan out over N domains; \
-           results are merged in deterministic order, so the output is byte-identical to a \
-           sequential run.")
+  num_opt Opt.jobs ~names:[ "j"; "jobs" ]
+    ~env:(Cmd.Env.info "INL_JOBS" ~doc:"Default for the $(b,--jobs) option.")
+    ~doc:
+      "Worker domains for the parallel analysis phases (default $(b,1): fully \
+       sequential).  With N > 1, dependence queries, per-dependence legality checks, \
+       completion-search structures and verification pairs fan out over N domains; \
+       results are merged in deterministic order, so the output is byte-identical to a \
+       sequential run."
 
 let no_cache_arg =
   Arg.(
@@ -158,28 +178,31 @@ let report_stats () =
     (fun (name, n) -> Printf.eprintf "counter %-24s %8d\n" name n)
     (Inl.Stats.counters ())
 
-(* The setup scaffold every command runs in: install budget,
-   parallelism, cache and fault configuration, then hand the command a
-   runner.  An unparsable fault spec refuses the command (D701, exit 1);
-   otherwise the runner runs the command body — an output file it cannot
+(* The setup scaffold every command runs in: it hands the command a
+   runner.  The runner first refuses the command, exit 1, when a numeric
+   option was out of range (D702, [refused] above; --budget/INL_FM_BUDGET
+   and --jobs/INL_JOBS included) or the fault spec does not parse
+   (D701).  Otherwise it installs budget, parallelism, cache and fault
+   configuration and runs the command body — an output file it cannot
    write is a D704 error, not an uncaught exception — and, when --stats
    was given, prints the report after it without disturbing the exit
    code. *)
 let setup budget faults jobs no_cache stats : (unit -> int) -> int =
-  Budget.install
-    (match budget with None -> Budget.default | Some n -> Budget.with_fm_work Budget.default n);
-  (match jobs with None -> () | Some n -> Inl.Pool.set_jobs n);
-  Memo.set_all_enabled (not no_cache);
+ fun body ->
+  let driver code msg = Diag.error ~code ~phase:Diag.Driver msg in
+  let refusals = List.rev_map (driver "D702") !refused in
   match Option.fold ~none:(Ok Faults.none) ~some:Faults.parse faults with
-  | Error msg -> fun _ -> fail [ Diag.error ~code:"D701" ~phase:Diag.Driver msg ]
+  | Error msg -> fail (refusals @ [ driver "D701" msg ])
+  | Ok _ when refusals <> [] -> fail refusals
   | Ok f ->
+      Budget.install
+        (Option.fold ~none:Budget.default ~some:(Budget.with_fm_work Budget.default) budget);
+      Option.iter Inl.Pool.set_jobs jobs;
+      Memo.set_all_enabled (not no_cache);
       Faults.install f;
-      fun body ->
-        let code =
-          try body () with Sys_error msg -> fail [ Diag.error ~code:"D704" ~phase:Diag.Driver msg ]
-        in
-        if stats then report_stats ();
-        code
+      let code = try body () with Sys_error msg -> fail [ driver "D704" msg ] in
+      if stats then report_stats ();
+      code
 
 let setup_term =
   Term.(const setup $ budget_arg $ faults_arg $ jobs_arg $ no_cache_arg $ stats_arg)
@@ -218,7 +241,7 @@ let run_check (ctx : Inl.context) (prog : Inl.Ast.program) : int =
   render_verdict (Verify.verdict report)
 
 let nparam =
-  Arg.(value & opt int 6 & info [ "N"; "size" ] ~docv:"N" ~doc:"Value for the size parameter N.")
+  num Opt.size ~names:[ "N"; "size" ] ~default:6 ~doc:"Value for the size parameter N."
 
 (* ---- show ---- *)
 
@@ -305,6 +328,9 @@ let check_flag =
            dependence-order preservation plus the well-formedness lint (exit 1 on a \
            verification error, 2 when a check degraded under the resource budget).")
 
+let verify_arg =
+  num_opt Opt.size ~names:[ "verify" ] ~doc:"Check equivalence by interpretation at size N."
+
 (* The shared back half of `apply` and `complete`: a total matrix goes
    through legality + codegen, then the optional post-passes. *)
 let apply_matrix ctx ?(title = "transformation matrix") ?(no_simplify = false) ~verify ~check
@@ -382,18 +408,12 @@ let apply_cmd =
   let no_simplify =
     Arg.(value & flag & info [ "no-simplify" ] ~doc:"Skip the cleanup pass of Section 5.5.")
   in
-  let verify =
-    Arg.(value & opt (some int) None & info [ "verify" ] ~docv:"N" ~doc:"Check equivalence by interpretation at size N.")
-  in
   let recipe =
-    Arg.(
-      value
-      & opt (some non_dir_file) None
-      & info [ "recipe" ] ~docv:"R.tf"
-          ~doc:
-            "Apply a transformation recipe file (the $(b,tf v1) format shared by fuzz \
-             quarantine pairs and $(b,optimize) winners) instead of step options; the recipe \
-             re-materializes against FILE through the normal pipeline.")
+    some_arg ~conv:Arg.non_dir_file [ "recipe" ] ~docv:"R.tf"
+      ~doc:
+        "Apply a transformation recipe file (the $(b,tf v1) format shared by fuzz \
+         quarantine pairs and $(b,optimize) winners) instead of step options; the recipe \
+         re-materializes against FILE through the normal pipeline."
   in
   Cmd.v
     (Cmd.info "apply" ~doc:"Apply a pipeline of loop transformations (Section 4).")
@@ -405,27 +425,18 @@ let apply_cmd =
       $ list_opt "skew" "Skew target by source: $(i,T,S,f)."
       $ list_opt "align" "Align a statement w.r.t. a loop: $(i,S,L,k)."
       $ list_opt "reorder" "Reorder children of a node: $(i,PATH:p0,p1,...)."
-      $ no_simplify $ verify $ check_flag)
+      $ no_simplify $ verify_arg $ check_flag)
 
 (* ---- complete ---- *)
 
 let complete_cmd =
   let run setup file rows verify check =
     with_context setup file (fun ctx ->
-        match
-          List.map
-            (fun spec ->
-              match
-                List.map
-                  (fun s ->
-                    match int_of_string_opt (String.trim s) with
-                    | Some n -> n
-                    | None -> raise (Bad_step (Printf.sprintf "bad --row entry %S" spec)))
-                  (String.split_on_char ',' spec)
-              with
-              | ints -> Inl.Vec.of_int_list ints)
-            rows
-        with
+        let row spec =
+          try List.map (fun s -> int_of_string (String.trim s)) (String.split_on_char ',' spec)
+          with Failure _ -> raise (Bad_step (Printf.sprintf "bad --row entry %S" spec))
+        in
+        match List.map (fun spec -> Inl.Vec.of_int_list (row spec)) rows with
         | exception Bad_step msg -> fail [ Diag.error ~code:"D702" ~phase:Diag.Driver msg ]
         | partial -> (
             match Inl.complete_result ctx ~partial with
@@ -435,12 +446,9 @@ let complete_cmd =
   let rows =
     Arg.(value & opt_all string [] & info [ "row" ] ~docv:"a,b,..." ~doc:"A partial matrix row (repeatable; the first rows of the target matrix).")
   in
-  let verify =
-    Arg.(value & opt (some int) None & info [ "verify" ] ~docv:"N" ~doc:"Check equivalence at size N.")
-  in
   Cmd.v
     (Cmd.info "complete" ~doc:"Complete a partial transformation (Section 6).")
-    Term.(const run $ setup_term $ file_arg $ rows $ verify $ check_flag)
+    Term.(const run $ setup_term $ file_arg $ rows $ verify_arg $ check_flag)
 
 (* ---- verify ---- *)
 
@@ -468,13 +476,10 @@ let verify_cmd =
                 else render_verdict (Verify.verdict report)))
   in
   let against =
-    Arg.(
-      value
-      & opt (some non_dir_file) None
-      & info [ "against" ] ~docv:"SRC"
-          ~doc:
-            "Source program to validate FILE against: proves instance-set preservation (no \
-             dropped, extra or duplicated iterations) and dependence-order preservation.")
+    some_arg ~conv:Arg.non_dir_file [ "against" ] ~docv:"SRC"
+      ~doc:
+        "Source program to validate FILE against: proves instance-set preservation (no \
+         dropped, extra or duplicated iterations) and dependence-order preservation."
   in
   Cmd.v
     (Cmd.info "verify"
@@ -544,33 +549,25 @@ let run_cmd =
                     0)))
   in
   let recipe =
-    Arg.(
-      value
-      & opt (some non_dir_file) None
-      & info [ "recipe" ] ~docv:"R.tf"
-          ~doc:
-            "Run the program under this transformation recipe (the $(b,tf v1) format written \
-             by $(b,optimize)): the recipe re-materializes against FILE and the generated \
-             code is executed.")
+    some_arg ~conv:Arg.non_dir_file [ "recipe" ] ~docv:"R.tf"
+      ~doc:
+        "Run the program under this transformation recipe (the $(b,tf v1) format written \
+         by $(b,optimize)): the recipe re-materializes against FILE and the generated \
+         code is executed."
   in
   let threads =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "threads" ] ~docv:"N"
-          ~doc:
-            "Execute for real and report wall-clock timings: the outermost provably-DOALL \
-             dimension is chunked over N worker domains (the other levels run sequentially), \
-             the parallel store is differentially checked against the sequential interpreter \
-             before any timing is reported, and the report carries the honest core count.  \
-             Without a DOALL dimension the run degrades to sequential with a typed $(b,X901) \
-             / $(b,X902) warning (exit 2).")
+    num_opt Opt.threads
+      ~doc:
+        "Execute for real and report wall-clock timings: the outermost provably-DOALL \
+         dimension is chunked over N worker domains (the other levels run sequentially), \
+         the parallel store is differentially checked against the sequential interpreter \
+         before any timing is reported, and the report carries the honest core count.  \
+         Without a DOALL dimension the run degrades to sequential with a typed $(b,X901) \
+         / $(b,X902) warning (exit 2)."
   in
   let repeat =
-    Arg.(
-      value & opt int 3
-      & info [ "repeat" ] ~docv:"K"
-          ~doc:"Timing runs per variant under $(b,--threads); the minimum is reported.")
+    num Opt.repeat ~docv:"K"
+      ~doc:"Timing runs per variant under $(b,--threads); the minimum is reported."
   in
   let no_timings =
     Arg.(
@@ -581,14 +578,11 @@ let run_cmd =
              as $(b,-): byte-stable output for tests.")
   in
   let emit_c =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "emit-c" ] ~docv:"FILE.c"
-          ~doc:
-            "Instead of executing, lower the program to a self-contained C99 file with \
-             $(b,#pragma omp parallel for) on every proven-DOALL dimension (array extents \
-             measured at size $(b,-N)); emit-only — nothing compiles it here.")
+    some_arg [ "emit-c" ] ~docv:"FILE.c"
+      ~doc:
+        "Instead of executing, lower the program to a self-contained C99 file with \
+         $(b,#pragma omp parallel for) on every proven-DOALL dimension (array extents \
+         measured at size $(b,-N)); emit-only — nothing compiles it here."
   in
   Cmd.v
     (Cmd.info "run"
@@ -606,9 +600,7 @@ let run_cmd =
 let optimize_cmd =
   let run setup file beam depth finalists size seed out =
     with_context setup file (fun ctx ->
-        match Search.configure ~ctx ?beam ?depth ?finalists ?size ?seed () with
-        | Error m -> fail [ Diag.error ~code:"D702" ~phase:Diag.Driver m ]
-        | Ok config ->
+        let config = Search.configure ~ctx ?beam ?depth ?finalists ?size ?seed () in
         Sigint.install ();
         try
         let o = Search.optimize ~config ctx in
@@ -666,41 +658,35 @@ let optimize_cmd =
           Sigint.exit_code)
   in
   let beam =
-    Arg.(value & opt (some int) None
-         & info [ "beam" ] ~docv:"B"
-             ~doc:"Beam width of the move search (default: 8, widened to 12 on kernels with \
-                   at least 8 layout columns).")
+    num_opt Opt.beam ~docv:"B"
+      ~doc:"Beam width of the move search (default: 8, widened to 12 on kernels with \
+           at least 8 layout columns)."
   in
   let depth =
-    Arg.(value & opt (some int) None
-         & info [ "depth" ] ~docv:"D"
-             ~doc:"Move generations after the completion seeds (default: 3, widened to 4 on \
-                   kernels with at least 8 layout columns).")
+    num_opt Opt.depth ~docv:"D"
+      ~doc:"Move generations after the completion seeds (default: 3, widened to 4 on \
+           kernels with at least 8 layout columns)."
   in
   let finalists =
-    Arg.(value & opt (some int) None
-         & info [ "finalists" ] ~docv:"K"
-             ~doc:"Statically ranked candidates promoted to the cache-simulation tier \
-                   (default: 6).")
+    num_opt Opt.finalists ~docv:"K"
+      ~doc:"Statically ranked candidates promoted to the cache-simulation tier \
+           (default: 6)."
   in
   let size =
-    Arg.(value & opt (some int) None
-         & info [ "size" ] ~docv:"N"
-             ~doc:"Problem size for the simulation tier (every program parameter is bound to N; \
-                   default: 48).")
+    num_opt Opt.size
+      ~doc:"Problem size for the simulation tier (every program parameter is bound to N; \
+           default: 48)."
   in
   let seed =
-    Arg.(value & opt (some int) None
-         & info [ "seed" ] ~docv:"S"
-             ~doc:"Search seed (default: 0; used only to subsample oversized move sets; the \
-                   search is deterministic for a fixed seed, independent of $(b,--jobs)).")
+    num_opt Opt.seed ~docv:"S"
+      ~doc:"Search seed (default: 0; used only to subsample oversized move sets; the \
+           search is deterministic for a fixed seed, independent of $(b,--jobs))."
   in
   let out =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"PREFIX"
-             ~doc:"Output prefix for the winning program ($(i,PREFIX).loop) and its replayable \
-                   recipe ($(i,PREFIX).tf); defaults to FILE minus its extension plus \
-                   $(b,.opt).")
+    some_arg [ "o"; "out" ] ~docv:"PREFIX"
+      ~doc:
+        "Output prefix for the winning program ($(i,PREFIX).loop) and its replayable recipe \
+         ($(i,PREFIX).tf); defaults to FILE minus its extension plus $(b,.opt)."
   in
   Cmd.v
     (Cmd.info "optimize"
@@ -768,33 +754,24 @@ let analyze_cmd =
              is 2 when the analysis found something or degraded.")
   in
   let recipe =
-    Arg.(
-      value
-      & opt (some non_dir_file) None
-      & info [ "recipe" ] ~docv:"R.tf"
-          ~doc:
-            "Analyze the program under this transformation recipe (the $(b,tf v1) format) \
-             instead of the identity: the report then describes the locality of the \
-             {e transformed} loop order.")
+    some_arg ~conv:Arg.non_dir_file [ "recipe" ] ~docv:"R.tf"
+      ~doc:
+        "Analyze the program under this transformation recipe (the $(b,tf v1) format) \
+         instead of the identity: the report then describes the locality of the \
+         {e transformed} loop order."
   in
   let work =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "work" ] ~docv:"W"
-          ~doc:
-            "Classification work budget, one unit per reference x loop dimension (default: the \
-             Fourier-Motzkin work allowance of $(b,--budget)).  Statements past the cap are \
-             reported unclassified ($(b,U902)) and scored pessimistically.")
+    num_opt Opt.work ~docv:"W"
+      ~doc:
+        "Classification work budget, one unit per reference x loop dimension (default: the \
+         Fourier-Motzkin work allowance of $(b,--budget)).  Statements past the cap are \
+         reported unclassified ($(b,U902)) and scored pessimistically."
   in
   let line_elems =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "line-elems" ] ~docv:"E"
-          ~doc:
-            "Cache line size in array elements (default 8 = 64-byte lines of 8-byte \
-             elements); strides of E or more elements count as no spatial reuse.")
+    num_opt Opt.line_elems ~docv:"E"
+      ~doc:
+        "Cache line size in array elements (default 8 = 64-byte lines of 8-byte \
+         elements); strides of E or more elements count as no spatial reuse."
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -829,35 +806,26 @@ let fuzz_cmd =
                 else 0))
   in
   let seed =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Campaign seed.  Cases are derived independently from (seed, index), so the case \
-             stream is reproducible and stable under interruption and resume.")
+    num Opt.seed
+      ~doc:
+        "Campaign seed.  Cases are derived independently from (seed, index), so the case \
+         stream is reproducible and stable under interruption and resume."
   in
-  let cases =
-    Arg.(value & opt int 100 & info [ "cases" ] ~docv:"K" ~doc:"Number of cases to run.")
-  in
+  let cases = num Opt.cases ~docv:"K" ~doc:"Number of cases to run." in
   let timeout_ms =
-    Arg.(
-      value & opt int 0
-      & info [ "timeout-ms" ] ~docv:"T"
-          ~doc:
-            "Per-case wall-clock watchdog in milliseconds (0 disables).  A case that exceeds \
-             it is retried once under a sharply reduced solver budget, then recorded as a \
-             $(b,timeout) finding.")
+    num Opt.timeout_ms ~docv:"T"
+      ~doc:
+        "Per-case wall-clock watchdog in milliseconds (0 disables).  A case that exceeds \
+         it is retried once under a sharply reduced solver budget, then recorded as a \
+         $(b,timeout) finding."
   in
   let corpus =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "corpus" ] ~docv:"DIR"
-          ~doc:
-            "Corpus directory: findings are quarantined here as replayable \
-             $(b,finding-<case>-<signature>) file pairs, and a cursor file makes the campaign \
-             resumable — rerunning with the same seed continues at the first case not yet \
-             done.")
+    some_arg [ "corpus" ] ~docv:"DIR"
+      ~doc:
+        "Corpus directory: findings are quarantined here as replayable \
+         $(b,finding-<case>-<signature>) file pairs, and a cursor file makes the campaign \
+         resumable — rerunning with the same seed continues at the first case not yet \
+         done."
   in
   let no_shrink =
     Arg.(
@@ -866,14 +834,11 @@ let fuzz_cmd =
           ~doc:"Quarantine findings as generated, skipping delta-debugging reduction.")
   in
   let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"BASE"
-          ~doc:
-            "Replay one quarantined finding ($(i,BASE).inl + $(i,BASE).tf; a trailing .inl or \
-             .tf is accepted) instead of running a campaign; exits 1 when the finding \
-             reproduces.")
+    some_arg [ "replay" ] ~docv:"BASE"
+      ~doc:
+        "Replay one quarantined finding ($(i,BASE).inl + $(i,BASE).tf; a trailing .inl or \
+         .tf is accepted) instead of running a campaign; exits 1 when the finding \
+         reproduces."
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -954,25 +919,20 @@ let corpus_cmd =
     Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"MANIFEST")
   in
   let state =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "state" ] ~docv:"DIR"
-          ~doc:
-            "State directory: the resumable checkpoint and quarantined kernel findings live \
-             here.  After every kernel the full record set is checkpointed crash-safely \
-             (write-temp + fsync + rename, checksummed header); a rerun restores completed \
-             kernels and continues.  Without it the run is not persisted.")
+    some_arg [ "state" ] ~docv:"DIR"
+      ~doc:
+        "State directory: the resumable checkpoint and quarantined kernel findings live \
+         here.  After every kernel the full record set is checkpointed crash-safely \
+         (write-temp + fsync + rename, checksummed header); a rerun restores completed \
+         kernels and continues.  Without it the run is not persisted."
   in
   let timeout_ms =
-    Arg.(
-      value & opt int 0
-      & info [ "timeout-ms" ] ~docv:"T"
-          ~doc:
-            "Default per-kernel wall-clock watchdog in milliseconds (0 disables; a \
-             manifest entry's $(b,timeout_ms) key overrides).  A kernel that exceeds it is \
-             retried once under a sharply reduced budget, then quarantined as a typed \
-             $(b,timeout) finding — the batch always continues.")
+    num Opt.timeout_ms ~docv:"T"
+      ~doc:
+        "Default per-kernel wall-clock watchdog in milliseconds (0 disables; a \
+         manifest entry's $(b,timeout_ms) key overrides).  A kernel that exceeds it is \
+         retried once under a sharply reduced budget, then quarantined as a typed \
+         $(b,timeout) finding — the batch always continues."
   in
   let no_timings =
     Arg.(
@@ -989,15 +949,12 @@ let corpus_cmd =
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the consolidated JSON report.")
   in
   let guard =
-    Arg.(
-      value
-      & opt (some non_dir_file) None
-      & info [ "guard" ] ~docv:"FILE"
-          ~doc:
-            "Drift gate: rerun the corpus fresh (unpersisted, untimed) and exit 1 with typed \
-             $(b,K709) diagnostics if any kernel's status, quarantine signature, winner \
-             recipe, miss/access/candidate counts or degradation tags differ from the \
-             committed report at $(i,FILE); wall-time noise is never compared.")
+    some_arg ~conv:Arg.non_dir_file [ "guard" ] ~docv:"FILE"
+      ~doc:
+        "Drift gate: rerun the corpus fresh (unpersisted, untimed) and exit 1 with typed \
+         $(b,K709) diagnostics if any kernel's status, quarantine signature, winner \
+         recipe, miss/access/candidate counts or degradation tags differ from the \
+         committed report at $(i,FILE); wall-time noise is never compared."
   in
   Cmd.v
     (Cmd.info "corpus"
@@ -1036,69 +993,48 @@ let serve_cmd =
             Server.run config)
   in
   let socket =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:
-            "Listen on a Unix domain socket at $(i,PATH) instead of serving stdin/stdout; \
-             multiple clients may connect concurrently.")
+    some_arg [ "socket" ] ~docv:"PATH"
+      ~doc:
+        "Listen on a Unix domain socket at $(i,PATH) instead of serving stdin/stdout; \
+         multiple clients may connect concurrently."
   in
   let connect =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"PATH"
-          ~doc:
-            "Client mode: forward request lines from stdin to the daemon at $(i,PATH) and \
-             print its response lines.  The dial is retried briefly, so a script may start \
-             daemon and client together.")
+    some_arg [ "connect" ] ~docv:"PATH"
+      ~doc:
+        "Client mode: forward request lines from stdin to the daemon at $(i,PATH) and \
+         print its response lines.  The dial is retried briefly, so a script may start \
+         daemon and client together."
   in
   let state =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "state" ] ~docv:"DIR"
-          ~doc:
-            "State directory: the projection-cache snapshot ($(b,cache.snap)) and the fuzz \
-             corpus live here.  The snapshot is checkpointed crash-safely (write-temp + \
-             fsync + rename, checksummed header) and restored on startup, so a restarted \
-             daemon starts warm; a corrupt snapshot is a warning and a cold start.")
+    some_arg [ "state" ] ~docv:"DIR"
+      ~doc:
+        "State directory: the projection-cache snapshot ($(b,cache.snap)) and the fuzz \
+         corpus live here.  The snapshot is checkpointed crash-safely (write-temp + \
+         fsync + rename, checksummed header) and restored on startup, so a restarted \
+         daemon starts warm; a corrupt snapshot is a warning and a cold start."
   in
   let queue_cap =
-    Arg.(
-      value
-      & opt int Server.default_config.Server.queue_cap
-      & info [ "queue-cap" ] ~docv:"N"
-          ~doc:
-            "Bounded request-queue capacity.  Arrivals beyond it are rejected immediately \
-             with a typed $(b,R704) response instead of being buffered without bound.")
+    num Opt.queue_cap
+      ~doc:
+        "Bounded request-queue capacity.  Arrivals beyond it are rejected immediately \
+         with a typed $(b,R704) response instead of being buffered without bound."
   in
   let timeout_ms =
-    Arg.(
-      value
-      & opt int Server.default_config.Server.request_timeout_ms
-      & info [ "timeout-ms" ] ~docv:"T"
-          ~doc:
-            "Default per-request deadline in milliseconds (0 disables; a request's own \
-             $(b,timeout_ms) field overrides).  A request that exceeds it is retried once \
-             under a sharply reduced budget, then answered with $(b,R706).")
+    num Opt.timeout_ms ~docv:"T"
+      ~doc:
+        "Default per-request deadline in milliseconds (0 disables; a request's own \
+         $(b,timeout_ms) field overrides).  A request that exceeds it is retried once \
+         under a sharply reduced budget, then answered with $(b,R706)."
   in
   let max_bytes =
-    Arg.(
-      value
-      & opt int Server.default_config.Server.max_request_bytes
-      & info [ "max-request-bytes" ] ~docv:"N"
-          ~doc:"Longest accepted request line; longer lines are rejected with $(b,R705).")
+    num Opt.max_request_bytes
+      ~doc:"Longest accepted request line; longer lines are rejected with $(b,R705)."
   in
   let checkpoint_every =
-    Arg.(
-      value
-      & opt int Server.default_config.Server.checkpoint_every
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:
-            "Snapshot the projection cache every $(i,N) requests (0: only on drain).  A \
-             final checkpoint always runs on clean drain and on SIGTERM.")
+    num Opt.checkpoint_every
+      ~doc:
+        "Snapshot the projection cache every $(i,N) requests (0: only on drain).  A \
+         final checkpoint always runs on clean drain and on SIGTERM."
   in
   Cmd.v
     (Cmd.info "serve"

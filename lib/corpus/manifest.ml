@@ -1,22 +1,13 @@
 module Diag = Inl_diag.Diag
 module Faults = Inl_diag.Faults
 module Snapshot = Inl_serve.Snapshot
-module Search = Inl_search.Search
+module Opt = Inl_diag.Opt
 
-type entry = {
-  name : string;
-  path : string;
-  size : int option;
-  seed : int option;
-  beam : int option;
-  depth : int option;
-  finalists : int option;
-  timeout_ms : int option;
-  budget : int option;
-  faults : string option;
-  run : int option;
-  threads : int option;
-}
+type entry = { name : string; path : string; nums : (string * int) list; faults : string option }
+
+let num e (o : Opt.t) = List.assoc_opt o.Opt.name e.nums
+let num_keys = Opt.taken_by Opt.Manifest
+let keys = List.map (fun (o : Opt.t) -> o.Opt.name) num_keys @ [ "faults" ]
 
 type t = { dir : string; entries : entry list; fingerprint : string }
 
@@ -46,68 +37,27 @@ let parse_entry ~dir ~lineno rest =
       if not (name_ok name) then
         Error (err lineno "kernel name %S: use [A-Za-z0-9_.-]+ (it names records and findings)" name)
       else
-        let entry =
-          ref
-            {
-              name;
-              path = (if Filename.is_relative path then Filename.concat dir path else path);
-              size = None;
-              seed = None;
-              beam = None;
-              depth = None;
-              finalists = None;
-              timeout_ms = None;
-              budget = None;
-              faults = None;
-              run = None;
-              threads = None;
-            }
-        in
-        let set_int key v ~min set =
-          match int_of_string_opt v with
-          | Some n when n >= min -> Ok (entry := set !entry n)
-          | _ -> Error (err lineno "%s=%s: expected an integer >= %d" key v min)
-        in
-        (* search options: range-checked below, by the search's own rule *)
-        let set_search key v set =
-          match int_of_string_opt v with
-          | Some n -> Ok (entry := set !entry n)
-          | None -> Error (err lineno "%s=%s: expected an integer" key v)
-        in
-        let apply kv =
+        let apply e kv =
           match String.index_opt kv '=' with
           | None -> Error (err lineno "%S: expected key=value" kv)
           | Some i -> (
               let key = String.sub kv 0 i in
               let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-              match key with
-              | "size" -> set_search key v (fun e n -> { e with size = Some n })
-              | "seed" -> set_search key v (fun e n -> { e with seed = Some n })
-              | "beam" -> set_search key v (fun e n -> { e with beam = Some n })
-              | "depth" -> set_search key v (fun e n -> { e with depth = Some n })
-              | "finalists" -> set_search key v (fun e n -> { e with finalists = Some n })
-              | "timeout_ms" -> set_int key v ~min:0 (fun e n -> { e with timeout_ms = Some n })
-              | "budget" -> set_int key v ~min:1 (fun e n -> { e with budget = Some n })
-              | "run" -> set_int key v ~min:1 (fun e n -> { e with run = Some n })
-              | "threads" -> set_int key v ~min:1 (fun e n -> { e with threads = Some n })
-              | "faults" -> (
+              match (List.find_opt (fun (o : Opt.t) -> o.Opt.name = key) num_keys, key) with
+              | Some o, _ ->
+                  let set n = { e with nums = (key, n) :: List.remove_assoc key e.nums } in
+                  Result.map set (Opt.parse o v) |> Result.map_error (err lineno "%s")
+              | None, "faults" -> (
                   match Faults.parse v with
-                  | Ok _ -> Ok (entry := { !entry with faults = Some v })
+                  | Ok _ -> Ok { e with faults = Some v }
                   | Error m -> Error (err lineno "faults=%s: %s" v m))
-              | _ -> Error (err lineno "unknown key %S" key))
+              | None, _ -> Error (err lineno "unknown key %S" key))
         in
-        let rec go = function
-          | [] -> (
-              let e = !entry in
-              match
-                Search.configure ?beam:e.beam ?depth:e.depth ?finalists:e.finalists
-                  ?size:e.size ?seed:e.seed ()
-              with
-              | Ok _ -> Ok e
-              | Error m -> Error (err lineno "%s" m))
-          | kv :: rest -> ( match apply kv with Ok () -> go rest | Error _ as e -> e)
-        in
-        go kvs
+        let path = if Filename.is_relative path then Filename.concat dir path else path in
+        List.fold_left
+          (fun acc kv -> Result.bind acc (fun e -> apply e kv))
+          (Ok { name; path; nums = []; faults = None })
+          kvs
   | _ -> Error (err lineno "expected: kernel <name> <path> [key=value ...]")
 
 let load path =

@@ -9,17 +9,16 @@
     v}
 
     Recognized keys, all optional, all overriding the runner's
-    defaults for that kernel only: [size], [seed], [beam], [depth],
-    [finalists] (search configuration, range-checked by
-    {!Inl_search.Search.configure} — the rule the CLI and serve apply —
-    which also gives big kernels the automatic widening for whatever is
-    not pinned here), [timeout_ms] (per-kernel watchdog, [0]
-    disables), [budget] (per-kernel Fourier-Motzkin work budget),
-    [faults] (an {!Inl_diag.Faults} spec — how the acceptance drill
-    poisons a kernel on purpose), [run] (execute the winner for real at
-    this problem size through {!Inl_exec.Exec} and record the outcome
-    label), and [threads] (worker domains for that execution;
-    default 2).
+    defaults for that kernel only: the integer keys are the
+    {!Inl_diag.Opt} declarations that name the manifest, each checked
+    by its declaration — [size], [seed], [beam], [depth], [finalists]
+    (search configuration; {!Inl_search.Search.configure} fills in the
+    rest), [timeout_ms] (per-kernel watchdog, [0] disables), [budget]
+    (per-kernel work budget), [run] (execute the winner at this size
+    through {!Inl_exec.Exec} and record the outcome label) and
+    [threads] (worker domains for that execution; default 2) — plus
+    [faults] (an {!Inl_diag.Faults} spec: how the acceptance drill
+    poisons a kernel on purpose).
 
     Malformed lines, duplicate kernel names, unknown keys and invalid
     values are all typed [K701] errors naming the offending line; a
@@ -30,17 +29,17 @@
 type entry = {
   name : string;  (** unique, [A-Za-z0-9_.-]+; keys records and findings *)
   path : string;  (** absolute, resolved against the manifest directory *)
-  size : int option;
-  seed : int option;
-  beam : int option;
-  depth : int option;
-  finalists : int option;
-  timeout_ms : int option;
-  budget : int option;
+  nums : (string * int) list;  (** the integer keys given, by name; read with {!num} *)
   faults : string option;  (** validated spec text *)
-  run : int option;  (** execute the winner at this size; [None] = don't *)
-  threads : int option;  (** worker domains for [run=]; default 2 *)
 }
+
+val num : entry -> Inl_diag.Opt.t -> int option
+(** The entry's value for a declared option; [None] when the line does
+    not give it (the runner's default applies). *)
+
+val keys : string list
+(** Every recognized key: the integer keys derived from the
+    declarations, then [faults]. *)
 
 type t = {
   dir : string;

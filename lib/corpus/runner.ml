@@ -1,6 +1,7 @@
 module Diag = Inl_diag.Diag
 module Budget = Inl_diag.Budget
 module Faults = Inl_diag.Faults
+module Opt = Inl_diag.Opt
 module Stats = Inl_diag.Stats
 module Retry = Inl_diag.Retry
 module Sigint = Inl_diag.Sigint
@@ -119,7 +120,7 @@ let clear_process_state () = Inl_diag.Memo.clear_all ()
 type attempt_result =
   | Ran of Search.outcome
   | Unreadable of string
-  | Refused of Diag.t list  (** parse/layout failure or a refused search option *)
+  | Refused of Diag.t list  (** parse/layout failure *)
 
 let counter counters name = match List.assoc_opt name counters with Some n -> n | None -> 0
 
@@ -148,8 +149,9 @@ let quarantine cfg (e : Manifest.entry) ~signature ~detail =
                    ~orig_prog:prog ~orig_tf:tf)))
 
 let run_kernel cfg (e : Manifest.entry) : Record.t =
-  let fm_base = Option.value e.Manifest.budget ~default:(Budget.current ()).Budget.fm_work in
-  let ms = Option.value e.Manifest.timeout_ms ~default:cfg.timeout_ms in
+  let num = Manifest.num e in
+  let fm_base = Option.value (num Opt.budget) ~default:(Budget.current ()).Budget.fm_work in
+  let ms = Option.value (num Opt.timeout_ms) ~default:cfg.timeout_ms in
   let faults = Option.bind e.Manifest.faults (fun spec -> Result.to_option (Faults.parse spec)) in
   let attempt () =
     clear_process_state ();
@@ -158,13 +160,12 @@ let run_kernel cfg (e : Manifest.entry) : Record.t =
     | src -> (
         match Inl.analyze_source_result src with
         | Error ds -> Refused ds
-        | Ok ctx -> (
-            match
-              Search.configure ~ctx ?beam:e.Manifest.beam ?depth:e.Manifest.depth
-                ?finalists:e.Manifest.finalists ?size:e.Manifest.size ?seed:e.Manifest.seed ()
-            with
-            | Error m -> Refused [ Diag.error ~code:"K701" ~phase:Diag.Corpus m ]
-            | Ok config -> Ran (Search.optimize ~config ctx)))
+        | Ok ctx ->
+            let config =
+              Search.configure ~ctx ?beam:(num Opt.beam) ?depth:(num Opt.depth)
+                ?finalists:(num Opt.finalists) ?size:(num Opt.size) ?seed:(num Opt.seed) ()
+            in
+            Ran (Search.optimize ~config ctx))
   in
   let blank =
     {
@@ -239,14 +240,14 @@ let run_kernel cfg (e : Manifest.entry) : Record.t =
            ({!Exec.label}), so it is stable under the drift guard
            while still pinning the plan and differential verdict. *)
         let exec =
-          match (e.Manifest.run, winner) with
+          match (num Opt.run, winner) with
           | Some size, Some w -> (
               match w.Search.program with
               | Some prog ->
                   let params =
                     List.map (fun p -> (p, size)) prog.Inl_ir.Ast.params
                   in
-                  let jobs = Option.value e.Manifest.threads ~default:2 in
+                  let jobs = Option.value (num Opt.threads) ~default:(Opt.default Opt.threads) in
                   Exec.label (Exec.benchmark ~jobs ~repeat:1 prog ~params)
               | None -> "")
           | _ -> ""

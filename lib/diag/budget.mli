@@ -31,9 +31,3 @@ val install : t -> unit
 
 val current : unit -> t
 (** The process default budget. *)
-
-val of_env : ?base:t -> unit -> t
-(** [base] (default {!default}) with [fm_work] overridden by the
-    [INL_FM_BUDGET] environment variable when it parses as a positive
-    integer; silently ignores malformed values (the CLI validates its own
-    flag). *)

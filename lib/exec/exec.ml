@@ -18,6 +18,7 @@
 
 module Ast = Inl_ir.Ast
 module Diag = Inl_diag.Diag
+module Opt = Inl_diag.Opt
 module Doall = Inl_verify.Doall
 module Interp = Inl_interp.Interp
 module Pool = Inl_parallel.Pool
@@ -167,7 +168,7 @@ let best_of n f =
   done;
   (Option.get !result, !best)
 
-let benchmark ?(jobs = 1) ?(repeat = 3) ?init ?max_steps (prog : Ast.program)
+let benchmark ?(jobs = 1) ?(repeat = Opt.default Opt.repeat) ?init ?max_steps (prog : Ast.program)
     ~(params : (string * int) list) : (report, Diag.t list) result =
   match analyze prog with
   | exception Ast.Invalid msg ->

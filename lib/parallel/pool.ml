@@ -10,7 +10,7 @@
 
 module Watchdog = Inl_diag.Watchdog
 
-let default_jobs = Atomic.make 1
+let default_jobs = Atomic.make (Inl_diag.Opt.default Inl_diag.Opt.jobs)
 
 let set_jobs n = Atomic.set default_jobs (max 1 n)
 let requested_jobs () = Atomic.get default_jobs
@@ -22,13 +22,6 @@ let requested_jobs () = Atomic.get default_jobs
    the mercy of the OS scheduler.  Callers that pass [?jobs] explicitly
    (the determinism tests do) are taken at their word. *)
 let jobs () = min (Atomic.get default_jobs) (max 1 (Domain.recommended_domain_count ()))
-
-let jobs_of_env () =
-  match Sys.getenv_opt "INL_JOBS" with
-  | None -> None
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | _ -> None)
 
 (* Outcome slot for one task; exceptions are re-raised in the caller, in
    index order, so failures are as deterministic as results. *)

@@ -28,9 +28,6 @@ val jobs : unit -> int
     more workers than the machine has can only lose.  Explicit [?jobs]
     arguments below are not capped. *)
 
-val jobs_of_env : unit -> int option
-(** Parse [INL_JOBS] ([Some n] when it is an integer >= 1). *)
-
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] with results in input order; [?jobs] overrides the process
     default for this call. *)

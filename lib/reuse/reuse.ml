@@ -9,6 +9,7 @@ module Gauss = Inl_linalg.Gauss
 module Layout = Inl_instance.Layout
 module Diag = Inl_diag.Diag
 module Memo = Inl_diag.Memo
+module Opt = Inl_diag.Opt
 
 type cls = Temporal | Spatial of int | NoReuse | Unknown
 
@@ -182,7 +183,8 @@ let memo_key ~line_elems (ctx : Inl.context) (st : Inl.Blockstruct.t) : string =
     ctx.Inl.layout.Layout.stmts;
   Buffer.contents b
 
-let signature ?(line_elems = 8) ?work_budget (ctx : Inl.context) (st : Inl.Blockstruct.t) : t =
+let signature ?(line_elems = Opt.default Opt.line_elems) ?work_budget (ctx : Inl.context)
+    (st : Inl.Blockstruct.t) : t =
   match work_budget with
   | Some _ -> compute ~line_elems ~work_budget ctx st
   | None ->

@@ -16,6 +16,7 @@ module Pool = Inl_parallel.Pool
 module Omega = Inl_presburger.Omega
 module Reuse = Inl_reuse.Reuse
 module Memo = Inl_diag.Memo
+module Opt = Inl_diag.Opt
 
 type config = {
   beam : int;
@@ -30,11 +31,11 @@ type config = {
 
 let default_config =
   {
-    beam = 8;
-    depth = 3;
-    finalists = 6;
-    size = 48;
-    seed = 0;
+    beam = Opt.default Opt.beam;
+    depth = Opt.default Opt.depth;
+    finalists = Opt.default Opt.finalists;
+    size = Opt.default Opt.size;
+    seed = Opt.default Opt.seed;
     max_moves = 64;
     cache = Cachesim.set_associative ~capacity_bytes:8192 ~line_bytes:64 ~assoc:2;
     sim_max_steps = 4_000_000;
@@ -50,21 +51,19 @@ let config_for ?(base = default_config) (ctx : Inl.context) : config =
   if Layout.size ctx.Inl.layout >= widen_threshold then { base with beam = 12; depth = 4 }
   else base
 
-let configure ?ctx ?beam ?depth ?finalists ?size ?seed () : (config, string) result =
+let configure ?ctx ?beam ?depth ?finalists ?size ?seed () : config =
   let base = match ctx with Some ctx -> config_for ctx | None -> default_config in
-  let ( let* ) = Result.bind in
-  let pick name ~min given default =
-    match given with
-    | None -> Ok default
-    | Some n when n >= min -> Ok n
-    | Some n -> Error (Printf.sprintf "%s=%d: expected an integer >= %d" name n min)
+  let pick o given default =
+    match Option.map (Opt.check o) given with
+    | None -> default
+    | Some r -> Result.fold ~ok:Fun.id ~error:invalid_arg r
   in
-  let* beam = pick "beam" ~min:1 beam base.beam in
-  let* depth = pick "depth" ~min:0 depth base.depth in
-  let* finalists = pick "finalists" ~min:1 finalists base.finalists in
-  let* size = pick "size" ~min:1 size base.size in
-  let* seed = pick "seed" ~min:0 seed base.seed in
-  Ok { base with beam; depth; finalists; size; seed }
+  let beam = pick Opt.beam beam base.beam in
+  let depth = pick Opt.depth depth base.depth in
+  let finalists = pick Opt.finalists finalists base.finalists in
+  let size = pick Opt.size size base.size in
+  let seed = pick Opt.seed seed base.seed in
+  { base with beam; depth; finalists; size; seed }
 
 type entry = {
   rank : int;

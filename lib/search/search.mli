@@ -73,15 +73,14 @@ val configure :
   ?size:int ->
   ?seed:int ->
   unit ->
-  (config, string) result
+  config
 (** The one rule for user-supplied search options, shared by
     [inltool optimize], serve's [optimize] method and the corpus
     manifest: start from {!config_for} [ctx] ({!default_config} without
-    a context), let every given option win, and refuse an option below
-    its minimum — [beam >= 1], [depth >= 0], [finalists >= 1],
-    [size >= 1], [seed >= 0] — with a message such as
-    ["beam=-3: expected an integer >= 1"] that each front end wraps in
-    its own diagnostic code. *)
+    a context) and let every given option win.  Each front end's reader
+    has already refused a value below its declared minimum
+    ({!Inl_diag.Opt}), so such a value here is a caller's bug:
+    [Invalid_argument "beam=-3: expected an integer >= 1"]. *)
 
 type entry = {
   rank : int;  (** 1-based, in final ranking order *)

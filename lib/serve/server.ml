@@ -31,6 +31,7 @@
 
 module Diag = Inl_diag.Diag
 module Faults = Inl_diag.Faults
+module Opt = Inl_diag.Opt
 module Stats = Inl_diag.Stats
 module Retry = Inl_diag.Retry
 module Omega = Inl_presburger.Omega
@@ -55,10 +56,10 @@ let default_config =
   {
     socket = None;
     state_dir = None;
-    queue_cap = 256;
-    request_timeout_ms = 0;
-    max_request_bytes = 1 lsl 20;
-    checkpoint_every = 32;
+    queue_cap = Opt.default Opt.queue_cap;
+    request_timeout_ms = Opt.default Opt.timeout_ms;
+    max_request_bytes = Opt.default Opt.max_request_bytes;
+    checkpoint_every = Opt.default Opt.checkpoint_every;
   }
 
 let snapshot_kind = "omega-cache"
@@ -87,70 +88,53 @@ let log_diag d = prerr_endline (Diag.to_string d)
 
 let snapshot_path dir = Filename.concat dir "cache.snap"
 
+(* Entries restored from the state directory's snapshot; a corrupt
+   snapshot is a warning and a cold start. *)
+let restore dir =
+  let cold msg =
+    log_diag
+      (Diag.warningf ~code:"R709" ~phase:Diag.Serve "snapshot unusable, starting cold: %s" msg);
+    0
+  in
+  match Snapshot.load ~path:(snapshot_path dir) ~kind:snapshot_kind ~version:snapshot_version with
+  | Ok None -> 0
+  | Ok (Some payload) -> (
+      match Omega.cache_restore payload with Ok n -> n | Error msg -> cold msg)
+  | Error msg -> cold msg
+
 let create config =
-  match config.state_dir with
-  | None ->
-      Ok
-        {
-          config;
-          served = 0;
-          ok_count = 0;
-          err_count = 0;
-          degraded_count = 0;
-          rejected = 0;
-          findings = false;
-          internal = false;
-          checkpoints = 0;
-          since_checkpoint = 0;
-          draining = false;
-          queue_depth = 0;
-          restored_entries = 0;
-          methods = Hashtbl.create 8;
-        }
-  | Some dir -> (
-      match Corpus.ensure_dir dir with
-      | Error msg -> Error ("state directory: " ^ msg)
-      | Ok () ->
-          let restored =
-            match
-              Snapshot.load ~path:(snapshot_path dir) ~kind:snapshot_kind
-                ~version:snapshot_version
-            with
-            | Ok None -> 0
-            | Ok (Some payload) -> (
-                match Omega.cache_restore payload with
-                | Ok n -> n
-                | Error msg ->
-                    log_diag
-                      (Diag.warningf ~code:"R709" ~phase:Diag.Serve
-                         "snapshot unusable, starting cold: %s" msg);
-                    0)
-            | Error msg ->
-                log_diag
-                  (Diag.warningf ~code:"R709" ~phase:Diag.Serve
-                     "snapshot unusable, starting cold: %s" msg);
-                0
-          in
-          if restored > 0 then
-            Printf.eprintf "serve: restored %d projection-cache entries from %s\n%!" restored
-              (snapshot_path dir);
-          Ok
-            {
-              config;
-              served = 0;
-              ok_count = 0;
-              err_count = 0;
-              degraded_count = 0;
-              rejected = 0;
-              findings = false;
-              internal = false;
-              checkpoints = 0;
-              since_checkpoint = 0;
-              draining = false;
-              queue_depth = 0;
-              restored_entries = restored;
-              methods = Hashtbl.create 8;
-            })
+  let restored =
+    match config.state_dir with
+    | None -> Ok 0
+    | Some dir -> (
+        match Corpus.ensure_dir dir with
+        | Error msg -> Error ("state directory: " ^ msg)
+        | Ok () ->
+            let n = restore dir in
+            if n > 0 then
+              Printf.eprintf "serve: restored %d projection-cache entries from %s\n%!" n
+                (snapshot_path dir);
+            Ok n)
+  in
+  Result.map
+    (fun restored_entries ->
+      {
+        config;
+        served = 0;
+        ok_count = 0;
+        err_count = 0;
+        degraded_count = 0;
+        rejected = 0;
+        findings = false;
+        internal = false;
+        checkpoints = 0;
+        since_checkpoint = 0;
+        draining = false;
+        queue_depth = 0;
+        restored_entries;
+        methods = Hashtbl.create 8;
+      })
+    restored
 
 let checkpoint t =
   match t.config.state_dir with
@@ -216,6 +200,56 @@ let reject t ~id ~meth ~code msg =
    wire error object. *)
 type hresult = Json.t * Diag.t list
 
+(* Every optional request field, read before any handler runs. *)
+type fields = {
+  num : Opt.t -> int option;  (* the declared numeric options *)
+  faults : Faults.t option;
+  stats : bool;
+  shrink : bool;
+  against : string option;
+}
+
+exception Invalid of string
+
+(* The one reader for optional request fields: an absent field is
+   [None]; a present one that does not narrow to the field's type — for
+   a numeric option, an integer at or above its declared minimum — makes
+   the request invalid (R703). *)
+let read_fields req : (fields, string) result =
+  let read name expected narrow =
+    Json.member name req
+    |> Option.map (fun v ->
+           match narrow v with
+           | Some x -> x
+           | None ->
+               raise (Invalid (Printf.sprintf "invalid request: %s=%s: expected %s" name
+                                 (Json.to_string v) expected)))
+  in
+  let num o =
+    read o.Opt.name (Opt.expected o) (function
+      | Json.Int n -> Result.to_option (Opt.check o n)
+      | _ -> None)
+  in
+  let flag name = read name "true or false" Json.to_bool_opt in
+  let text name = read name "a string" Json.to_string_opt in
+  let faults spec =
+    match Faults.parse spec with
+    | Ok f -> f
+    | Error m -> raise (Invalid ("bad \"faults\" spec: " ^ m))
+  in
+  match
+    let given o = Option.map (fun n -> (o, n)) (num o) in
+    let nums = List.filter_map given Opt.(taken_by Serve) in
+    let stats = flag "stats" in
+    let shrink = flag "shrink" in
+    let against = text "against" in
+    let faults = Option.map faults (text "faults") in
+    let num o = List.assoc_opt o nums in
+    { num; faults; stats = stats = Some true; shrink = shrink <> Some false; against }
+  with
+  | f -> Ok f
+  | exception Invalid m -> Error m
+
 let require_program req : (string, Diag.t list) result =
   match Json.string_field "program" req with
   | Some src -> Ok src
@@ -249,12 +283,12 @@ let handle_analyze req : hresult =
               ],
             ctx.Inl.diags ))
 
-let handle_verify req : hresult =
+let handle_verify (f : fields) req : hresult =
   let ( let* ) = Result.bind in
   let parsed =
     let* prog = Result.bind (require_program req) Inl.parse in
     let* against =
-      match Json.string_field "against" req with
+      match f.against with
       | None -> Ok None
       | Some src -> Result.map Option.some (Inl.parse src)
     in
@@ -273,48 +307,44 @@ let handle_verify req : hresult =
           ],
         Verify.diags report )
 
-let handle_optimize req : hresult =
+let handle_optimize (f : fields) req : hresult =
   match Result.bind (require_program req) (fun src -> Inl.analyze_source_result src) with
   | Error ds -> (Json.Null, ds)
   | Ok ctx -> (
-      let field name = Json.int_field name req in
-      match
-        Search.configure ~ctx ?beam:(field "beam") ?depth:(field "depth")
-          ?finalists:(field "finalists") ?size:(field "size") ?seed:(field "seed") ()
-      with
-      | Error m ->
-          (Json.Null, [ Diag.error ~code:"R703" ~phase:Diag.Serve ("invalid request: " ^ m) ])
-      | Ok config -> (
-          let o = Search.optimize ~config ctx in
-          let diags = ctx.Inl.diags @ o.Search.diags in
-          let opt f = function Some v -> f v | None -> Json.Null in
-          match o.Search.winner with
-          | None -> (Json.Null, diags)
-          | Some w ->
-              ( Json.Obj
-                  [
-                    ("winner", Json.String (Search.recipe_line w.Search.recipe));
-                    ("recipe", Json.String (Tf.to_string w.Search.recipe));
-                    ("misses", opt (fun n -> Json.Int n) w.Search.misses);
-                    ("accesses", opt (fun n -> Json.Int n) w.Search.accesses);
-                    ( "program",
-                      opt (fun p -> Json.String (Inl.Pp.program_to_string p)) w.Search.program
-                    );
-                  ],
-                diags )))
+      let config =
+        Search.configure ~ctx ?beam:(f.num Opt.beam) ?depth:(f.num Opt.depth)
+          ?finalists:(f.num Opt.finalists) ?size:(f.num Opt.size) ?seed:(f.num Opt.seed) ()
+      in
+      let o = Search.optimize ~config ctx in
+      let diags = ctx.Inl.diags @ o.Search.diags in
+      let opt f = function Some v -> f v | None -> Json.Null in
+      match o.Search.winner with
+      | None -> (Json.Null, diags)
+      | Some w ->
+          ( Json.Obj
+              [
+                ("winner", Json.String (Search.recipe_line w.Search.recipe));
+                ("recipe", Json.String (Tf.to_string w.Search.recipe));
+                ("misses", opt (fun n -> Json.Int n) w.Search.misses);
+                ("accesses", opt (fun n -> Json.Int n) w.Search.accesses);
+                ( "program",
+                  opt (fun p -> Json.String (Inl.Pp.program_to_string p)) w.Search.program
+                );
+              ],
+            diags ))
 
-let handle_fuzz t req : hresult =
-  let field name v = Option.value (Json.int_field name req) ~default:v in
+let handle_fuzz t (f : fields) : hresult =
+  let num o ~default = Option.value (f.num o) ~default in
   let cfg =
     {
-      Driver.seed = field "seed" 0;
-      cases = field "cases" 20;
-      timeout_ms = field "case_timeout_ms" 2000;
+      Driver.seed = num Opt.seed ~default:(Opt.default Opt.seed);
+      cases = num Opt.cases ~default:20;
+      timeout_ms = num Opt.case_timeout_ms ~default:(Opt.default Opt.case_timeout_ms);
       corpus =
         (match t.config.state_dir with
         | Some dir -> Some (Filename.concat dir "fuzz-corpus")
         | None -> None);
-      shrink = Json.bool_field "shrink" req <> Some false;
+      shrink = f.shrink;
     }
   in
   let buf = Buffer.create 256 in
@@ -378,27 +408,18 @@ let first_reason_message = function
       Printf.sprintf "request exceeded its %d ms deadline" timeout_ms
   | Retry.Degraded m -> "a solver blowup escaped the degradation paths: " ^ m
 
-let guarded t ~id ~meth req (handler : unit -> hresult) =
-  let fm_work = match Json.int_field "budget" req with Some n when n > 0 -> Some n | _ -> None in
-  let timeout_ms =
-    Option.value (Json.int_field "timeout_ms" req) ~default:t.config.request_timeout_ms
-  in
-  let faults =
-    match Json.string_field "faults" req with
-    | None -> Ok None
-    | Some spec -> Result.map Option.some (Faults.parse spec)
-  in
-  match faults with
-  | Error msg -> reject t ~id ~meth ~code:"R703" ("bad \"faults\" spec: " ^ msg)
-  | Ok faults -> (
-      let want_stats = Json.bool_field "stats" req = Some true in
+let guarded t ~id ~meth req (handler : fields -> hresult) =
+  match read_fields req with
+  | Error m -> reject t ~id ~meth ~code:"R703" m
+  | Ok f -> (
+      let timeout_ms = Option.value (f.num Opt.timeout_ms) ~default:t.config.request_timeout_ms in
       let _, proj0 = Omega.solver_calls () in
       let cs0 = Omega.cache_stats () in
       let snap0 = Stats.snapshot () in
       let degradable = function Omega.Blowup m -> Some m | _ -> None in
       let answered (result, diags) =
         let stats =
-          if not want_stats then None
+          if not f.stats then None
           else
             let _, proj1 = Omega.solver_calls () in
             let cs1 = Omega.cache_stats () in
@@ -415,7 +436,10 @@ let guarded t ~id ~meth req (handler : unit -> hresult) =
         in
         response t ~id ~meth ~result ?stats diags
       in
-      match Retry.run ?fm_work ?faults ~timeout_ms ~degradable handler with
+      match
+        Retry.run ?fm_work:(f.num Opt.budget) ?faults:f.faults ~timeout_ms ~degradable (fun () ->
+            handler f)
+      with
       | Retry.Completed answer -> answered answer
       | Retry.Recovered { value = result, ds; first; fm_work = fm' } ->
           answered
@@ -485,10 +509,10 @@ let handle t line : string =
               | "shutdown" ->
                   t.draining <- true;
                   response t ~id ~meth ~result:(Json.Obj [ ("draining", Json.Bool true) ]) []
-              | "analyze" -> guarded t ~id ~meth req (fun () -> handle_analyze req)
-              | "verify" -> guarded t ~id ~meth req (fun () -> handle_verify req)
-              | "optimize" -> guarded t ~id ~meth req (fun () -> handle_optimize req)
-              | "fuzz" -> guarded t ~id ~meth req (fun () -> handle_fuzz t req)
+              | "analyze" -> guarded t ~id ~meth req (fun _ -> handle_analyze req)
+              | "verify" -> guarded t ~id ~meth req (fun f -> handle_verify f req)
+              | "optimize" -> guarded t ~id ~meth req (fun f -> handle_optimize f req)
+              | "fuzz" -> guarded t ~id ~meth req (handle_fuzz t)
               | other -> reject t ~id ~meth:other ~code:"R702" ("unknown method " ^ other)))
   in
   Json.to_string resp

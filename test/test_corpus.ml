@@ -9,11 +9,15 @@
      directions and ignores wall-clock noise;
    - Runner: checkpointing end to end on a real (tiny) kernel —
      resume skips completed records, a config mismatch is a typed K703
-     refusal, a corrupt checkpoint is a typed K704 cold start. *)
+     refusal, a corrupt checkpoint is a typed K704 cold start;
+   - Options: every declared numeric option, on every front end that
+     takes it (CLI, serve, manifest), accepts its minimum and refuses
+     one less with that front end's code. *)
 
 module Diag = Inl_diag.Diag
 module Snapshot = Inl_serve.Snapshot
 module Manifest = Inl_corpus.Manifest
+module Opt = Inl_diag.Opt
 module Record = Inl_corpus.Record
 module Bench = Inl_corpus.Bench
 module Runner = Inl_corpus.Runner
@@ -66,12 +70,13 @@ let test_manifest_ok () =
           let b = List.nth m.Manifest.entries 1 in
           Alcotest.(check string) "relative path resolved" (Filename.concat dir "sub/y.loop")
             b.Manifest.path;
-          Alcotest.(check (option int)) "seed" (Some 7) b.Manifest.seed;
-          Alcotest.(check (option int)) "beam" (Some 3) b.Manifest.beam;
-          Alcotest.(check (option int)) "timeout may be zero" (Some 0) b.Manifest.timeout_ms;
+          Alcotest.(check (option int)) "seed" (Some 7) (Manifest.num b Opt.seed);
+          Alcotest.(check (option int)) "beam" (Some 3) (Manifest.num b Opt.beam);
+          Alcotest.(check (option int))
+            "timeout may be zero" (Some 0) (Manifest.num b Opt.timeout_ms);
           Alcotest.(check (option string)) "faults" (Some "every=2") b.Manifest.faults;
-          Alcotest.(check (option int)) "run" (Some 4) b.Manifest.run;
-          Alcotest.(check (option int)) "threads" (Some 2) b.Manifest.threads;
+          Alcotest.(check (option int)) "run" (Some 4) (Manifest.num b Opt.run);
+          Alcotest.(check (option int)) "threads" (Some 2) (Manifest.num b Opt.threads);
           let c = List.nth m.Manifest.entries 2 in
           Alcotest.(check string) "absolute path kept" "/abs/z.loop" c.Manifest.path;
           Alcotest.(check bool) "fingerprint nonempty" true (m.Manifest.fingerprint <> ""))
@@ -217,18 +222,17 @@ let test_guard_catches_drift () =
 
 let tiny_kernel = "params N\ndo I = 1..N\n  S1: A(I) = A(I) + 1\nenddo\n"
 
+let rec rm_rf p =
+  if Sys.is_directory p then begin
+    Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
+    Unix.rmdir p
+  end
+  else Sys.remove p
+
 let with_runner_setup f =
   let dir = tmpdir () in
   Fun.protect
-    ~finally:(fun () ->
-      let rec rm p =
-        if Sys.is_directory p then begin
-          Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-          Unix.rmdir p
-        end
-        else Sys.remove p
-      in
-      rm dir)
+    ~finally:(fun () -> rm_rf dir)
     (fun () ->
       write (Filename.concat dir "k.loop") tiny_kernel;
       let mpath = Filename.concat dir "m.manifest" in
@@ -291,6 +295,121 @@ let test_runner_checkpoint_is_a_snapshot () =
       | Ok None -> Alcotest.fail "checkpoint missing"
       | Error m -> Alcotest.failf "checkpoint unreadable: %s" m)
 
+(* ---- one declaration per numeric option ---- *)
+
+(* Each front end is driven with one value of an option through its real
+   reader — the CLI through the inltool binary, serve through
+   [Server.handle], a manifest through [Manifest.load] — and answers
+   with the codes of the errors it raised ([] when it took the value; a
+   usage error or crash of the binary counts as its exit status).  A
+   front end's probes list, per option, the command lines (or requests)
+   that carry it. *)
+
+let errors_of_stderr text =
+  String.split_on_char '\n' text
+  |> List.filter_map (fun l ->
+         if String.length l >= 10 && String.sub l 0 6 = "error[" then Some (String.sub l 6 4)
+         else None)
+
+let cli_probes dir (o : Opt.t) =
+  let k = Filename.concat dir "k.loop" in
+  let with_flag base n = base @ [ Printf.sprintf "--%s=%d" (Opt.flag o) n ] in
+  let bases =
+    [
+      ([ Opt.beam; Opt.depth; Opt.finalists; Opt.size; Opt.seed ],
+        [ "optimize"; k; "-o"; Filename.concat dir "opt" ]);
+      ([ Opt.budget; Opt.jobs ], [ "deps"; k ]);
+      ([ Opt.cases ], [ "fuzz" ]);
+      ([ Opt.timeout_ms ], [ "fuzz"; "--cases"; "1" ]);
+      ([ Opt.threads ], [ "run"; k; "-N"; "4"; "--repeat"; "1" ]);
+      ([ Opt.repeat ], [ "run"; k; "-N"; "4"; "--threads"; "1" ]);
+      ([ Opt.work; Opt.line_elems ], [ "analyze"; "--reuse"; k ]);
+      ([ Opt.queue_cap; Opt.max_request_bytes; Opt.checkpoint_every ], [ "serve" ]);
+    ]
+  in
+  let aliases =
+    if o == Opt.size then
+      [
+        (fun n -> [ "run"; k; "-N"; string_of_int n ]);
+        (fun n -> [ "apply"; k; "--reverse"; "I"; Printf.sprintf "--verify=%d" n ]);
+      ]
+    else []
+  in
+  List.filter_map (fun (opts, base) -> if List.memq o opts then Some (with_flag base) else None)
+    bases
+  @ aliases
+  |> List.map (fun argv n ->
+         let err = Filename.concat dir "stderr" in
+         let cmd =
+           Filename.quote_command "inltool" (argv n) ~stdin:"/dev/null" ~stdout:"/dev/null"
+             ~stderr:err
+         in
+         match Sys.command cmd with
+         | (0 | 1 | 2) -> errors_of_stderr (In_channel.with_open_bin err In_channel.input_all)
+         | status -> [ Printf.sprintf "exit %d" status ])
+
+let serve_probes (o : Opt.t) =
+  let base =
+    if List.memq o [ Opt.beam; Opt.depth; Opt.finalists; Opt.size; Opt.seed ] then
+      Some (Printf.sprintf {|"method":"optimize","program":"%s"|} (String.escaped tiny_kernel))
+    else if List.memq o [ Opt.budget; Opt.timeout_ms ] then
+      Some (Printf.sprintf {|"method":"analyze","program":"%s"|} (String.escaped tiny_kernel))
+    else if o == Opt.cases then Some {|"method":"fuzz"|}
+    else if o == Opt.case_timeout_ms then Some {|"method":"fuzz","cases":1|}
+    else None
+  in
+  Option.to_list base
+  |> List.map (fun base n ->
+         let server = Result.get_ok (Inl_serve.Server.create Inl_serve.Server.default_config) in
+         let line = Printf.sprintf {|{"id":1,%s,"%s":%d}|} base o.Opt.name n in
+         let resp = Result.get_ok (Inl_serve.Json.parse (Inl_serve.Server.handle server line)) in
+         match Inl_serve.Json.member "error" resp with
+         | Some e -> Option.to_list (Inl_serve.Json.string_field "code" e)
+         | None -> [])
+
+let manifest_probes (o : Opt.t) =
+  [
+    (fun n ->
+      with_manifest (Printf.sprintf "kernel a x.loop %s=%d\n" o.Opt.name n) (fun _ m ->
+          match m with Ok _ -> [] | Error ds -> List.map (fun d -> d.Diag.code) ds));
+  ]
+
+let test_every_option_every_front () =
+  let dir = tmpdir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  write (Filename.concat dir "k.loop") tiny_kernel;
+  let fronts =
+    [
+      (Opt.Cli, "D702", cli_probes dir);
+      (Opt.Serve, "R703", serve_probes);
+      (Opt.Manifest, "K701", manifest_probes);
+    ]
+  in
+  List.iter
+    (fun (front, code, probes) ->
+      List.iter
+        (fun (o : Opt.t) ->
+          let runs = probes o in
+          if runs = [] then Alcotest.failf "%s: no probe for a front end that takes it" o.Opt.name;
+          List.iter
+            (fun run ->
+              Alcotest.(check (list string)) (o.Opt.name ^ " at its minimum") [] (run o.Opt.min);
+              Alcotest.(check (list string))
+                (o.Opt.name ^ " below its minimum") [ code ]
+                (run (o.Opt.min - 1)))
+            runs)
+        (Opt.taken_by front))
+    fronts
+
+let test_manifest_keys_unchanged () =
+  Alcotest.(check (list string)) "manifest keys"
+    (List.sort compare
+       [
+         "size"; "seed"; "beam"; "depth"; "finalists"; "timeout_ms"; "budget"; "run"; "threads";
+         "faults";
+       ])
+    (List.sort compare Manifest.keys)
+
 let () =
   Alcotest.run "corpus"
     [
@@ -299,6 +418,7 @@ let () =
           Alcotest.test_case "parses entries and overrides" `Quick test_manifest_ok;
           Alcotest.test_case "fingerprint tracks text" `Quick test_manifest_fingerprint_tracks_text;
           Alcotest.test_case "typed rejections" `Quick test_manifest_rejections;
+          Alcotest.test_case "key set unchanged" `Quick test_manifest_keys_unchanged;
         ] );
       ( "record",
         [
@@ -318,5 +438,10 @@ let () =
           Alcotest.test_case "corrupt checkpoint cold-starts" `Quick
             test_runner_cold_starts_on_corrupt_checkpoint;
           Alcotest.test_case "checkpoint is a snapshot" `Quick test_runner_checkpoint_is_a_snapshot;
+        ] );
+      ( "options",
+        [
+          Alcotest.test_case "minimum accepted, below refused, every front end" `Quick
+            test_every_option_every_front;
         ] );
     ]
