@@ -43,32 +43,14 @@ let perfect_only (prog : Ast.program) (t : Mat.t) : perfect_verdict =
 (* ---- loop distribution ---- *)
 
 module Distribution = struct
-  (* Distributing the single top-level loop of [prog] between children
-     [at-1] and [at] runs every instance of the first group before every
-     instance of the second, so it is legal iff no dependence flows from
-     a second-group statement to a first-group statement. *)
+  (* Distributing the single top-level loop between children [at-1] and
+     [at] is legal iff no dependence flows from a second-group statement
+     to a first-group one: the completion extension's rule, whose
+     offender this names. *)
   let legal (layout : Layout.t) (deps : Dep.t list) ~(at : int) : (unit, string) result =
-    match layout.Layout.program.Ast.nest with
-    | [ Ast.Loop l ] ->
-        let group_of label =
-          let si = Layout.stmt_info layout label in
-          match si.Layout.path with
-          | _ :: c :: _ -> if c < at then `First else `Second
-          | _ -> invalid_arg "Distribution.legal: statement at unexpected depth"
-        in
-        if at <= 0 || at >= List.length l.Ast.body then
-          invalid_arg "Distribution.legal: split point outside the loop body";
-        let offender =
-          List.find_opt
-            (fun (d : Dep.t) -> group_of d.Dep.src = `Second && group_of d.dst = `First)
-            deps
-        in
-        (match offender with
-        | None -> Ok ()
-        | Some d ->
-            Error
-              (Format.asprintf "dependence %a crosses backward over the split" Dep.pp d))
-    | _ -> invalid_arg "Distribution.legal: program must be a single top-level loop"
+    Result.map_error
+      (Format.asprintf "dependence %a crosses backward over the split" Dep.pp)
+      (Inl.Completion_ext.distribution_legal layout deps ~at)
 
   let apply (layout : Layout.t) ~(at : int) : Ast.program =
     snd (Inl.Tmat.distribute layout ~at)

@@ -16,33 +16,6 @@ exception Reject of string
 
 let reject fmt = Format.kasprintf (fun s -> raise (Reject s)) fmt
 
-(* Number of instance-vector positions contributed by a node's subtree. *)
-let rec node_size : Ast.node -> int = function
-  | Ast.Stmt _ -> 0
-  | Ast.If (_, body) | Ast.Let (_, _, body) -> children_size body
-  | Ast.Loop l -> 1 + children_size l.body
-
-and children_size (children : Ast.node list) : int =
-  let m = List.length children in
-  let edges = if m >= 2 then m else 0 in
-  edges + List.fold_left (fun acc c -> acc + node_size c) 0 children
-
-(* Offsets of the pieces of a children region laid out as
-   [edges e_{m-1}..e_0][block of child m-1]...[block of child 0]
-   starting at [base]: returns (edge_base, block_offset array indexed by
-   child). *)
-let region_offsets base (children : Ast.node list) =
-  let m = List.length children in
-  let edges = if m >= 2 then m else 0 in
-  let sizes = Array.of_list (List.map node_size children) in
-  let offs = Array.make m 0 in
-  let cursor = ref (base + edges) in
-  for i = m - 1 downto 0 do
-    offs.(i) <- !cursor;
-    cursor := !cursor + sizes.(i)
-  done;
-  (base, offs)
-
 let infer (old_layout : Layout.t) (m : Mat.t) : (t, string) result =
   let prog = old_layout.Layout.program in
   let n = Layout.size old_layout in
@@ -62,19 +35,19 @@ let infer (old_layout : Layout.t) (m : Mat.t) : (t, string) result =
       let mcount = List.length children in
       if mcount = 0 then []
       else begin
-        let nedges = if mcount >= 2 then mcount else 0 in
-        let old_edge_base, old_offs = region_offsets old_base children in
+        let sizes = Array.of_list (List.map Layout.node_size children) in
+        let old_offs = Layout.children_region ~base:old_base sizes in
         (* infer the child permutation from the edge square *)
         let perm = Array.init mcount Fun.id in
         if mcount >= 2 then begin
-          let square = Mat.sub_matrix m ~row:new_base ~col:old_edge_base ~rows:mcount ~cols:mcount in
+          let square = Mat.sub_matrix m ~row:new_base ~col:old_base ~rows:mcount ~cols:mcount in
           if not (Mat.is_permutation square) then
             reject "edge rows at node [%s] are not a permutation"
               (String.concat ";" (List.map string_of_int parent));
           (* edge rows must be zero outside their square *)
           for r = new_base to new_base + mcount - 1 do
             for c = 0 to n - 1 do
-              if (c < old_edge_base || c >= old_edge_base + mcount) && not (Mpz.is_zero (Mat.get m r c))
+              if (c < old_base || c >= old_base + mcount) && not (Mpz.is_zero (Mat.get m r c))
               then
                 reject "edge row %d has an entry outside its node's edge columns" r
             done
@@ -89,21 +62,15 @@ let infer (old_layout : Layout.t) (m : Mat.t) : (t, string) result =
           (* map edge positions *)
           for k' = 0 to mcount - 1 do
             let newchild = perm.(mcount - 1 - k') in
-            old_to_new.(old_edge_base + k') <- new_base + (mcount - 1 - newchild)
+            old_to_new.(old_base + k') <- new_base + (mcount - 1 - newchild)
           done
         end;
         perms := (parent, perm) :: !perms;
         (* new block offsets: new child j' has the size of old child
            (inverse-perm j') *)
-        let sizes = Array.of_list (List.map node_size children) in
-        let inv = Array.make mcount 0 in
-        Array.iteri (fun i j -> inv.(j) <- i) perm;
-        let new_offs = Array.make mcount 0 in
-        let cursor = ref (new_base + nedges) in
-        for j = mcount - 1 downto 0 do
-          new_offs.(j) <- !cursor;
-          cursor := !cursor + sizes.(inv.(j))
-        done;
+        let new_sizes = Array.make mcount 0 in
+        Array.iteri (fun i j -> new_sizes.(j) <- sizes.(i)) perm;
+        let new_offs = Layout.children_region ~base:new_base new_sizes in
         (* Loop (block) rows are unconstrained: thanks to the diagonal
            padding, a row may even reference a sibling subtree's loop
            column — the paper's own Section 6 completion matrix does so
@@ -118,8 +85,7 @@ let infer (old_layout : Layout.t) (m : Mat.t) : (t, string) result =
             let old_b = old_offs.(i) and new_b = new_offs.(perm.(i)) in
             placed.(perm.(i)) <-
               (match child with
-              | Ast.Stmt _ -> child
-              | Ast.If _ | Ast.Let _ -> reject "If/Let nodes cannot be transformed"
+              | Ast.Stmt _ | Ast.If _ | Ast.Let _ -> child (* If/Let: refused by [node_size] *)
               | Ast.Loop l ->
                   old_to_new.(old_b) <- new_b;
                   let body' = check_children (parent @ [ i ]) l.body (old_b + 1) (new_b + 1) in

@@ -31,25 +31,6 @@ let iheight (v : ivec) : int option =
   in
   go 0
 
-(* Apply an integer matrix to an interval vector. *)
-let apply_ivec (m : Mat.t) (v : ivec) : ivec =
-  Array.init (Mat.rows m) (fun i ->
-      let acc = ref (Interval.point Mpz.zero) in
-      Array.iteri (fun j x -> acc := Interval.add !acc (Interval.scale (Mat.get m i j) x)) v;
-      !acc)
-
-(* Every point of the box is lexicographically non-negative. *)
-let certainly_lex_nonneg (v : ivec) : bool =
-  let n = Array.length v in
-  let rec go i =
-    if i >= n then true
-    else if Interval.definitely_zero v.(i) then go (i + 1)
-    else if Interval.definitely_positive v.(i) then true
-    else if Interval.definitely_nonneg v.(i) then go (i + 1)
-    else false
-  in
-  go 0
-
 (* [augment t deps] returns the rows appended to [t] (in order).  [deps]
    are the unsatisfied self-dependence distance vectors of the statement,
    projected onto its own loop coordinates (length k).
@@ -108,7 +89,8 @@ let augment (t : Mat.t) (deps : ivec list) : Vec.t list =
        of distinct dependent instances *)
     List.iter
       (fun d ->
-        if not (certainly_lex_nonneg (apply_ivec !current d)) then
+        let image = Array.fold_right (fun row acc -> Legality.image row d :: acc) !current [] in
+        if Legality.classify image = Legality.Violated then
           raise
             (Cannot_complete
                "augmented per-statement transformation fails to carry an unsatisfied \

@@ -1,8 +1,6 @@
-module Mpz = Inl_num.Mpz
 module Vec = Inl_linalg.Vec
 module Mat = Inl_linalg.Mat
 module Gauss = Inl_linalg.Gauss
-module Interval = Inl_presburger.Interval
 module Ast = Inl_ir.Ast
 module Dep = Inl_depend.Dep
 module Layout = Inl_instance.Layout
@@ -54,10 +52,7 @@ let reorder_matrices (layout : Layout.t) : Mat.t list =
      first); after reordering at [p], remap the paths of the deeper sites
      that pass through [p]. *)
   let remap_path p perm q =
-    let rec is_proper_prefix a b =
-      match (a, b) with [], _ :: _ -> true | x :: a', y :: b' -> x = y && is_proper_prefix a' b' | _ -> false
-    in
-    if not (is_proper_prefix p q) then q
+    if not (Layout.is_proper_prefix p q) then q
     else begin
       let rec go a b =
         match (a, b) with
@@ -103,65 +98,25 @@ let seed_rows ?(allow_reversal = true) (layout : Layout.t) : Vec.t list =
    relaxed block structure allows any column (padded sibling references
    are meaningful), but natural columns are tried first. *)
 let allowed_columns (layout : Layout.t) : (int, bool array) Hashtbl.t =
-  let prog = layout.Layout.program in
-  let n = Layout.size layout in
   let table = Hashtbl.create 8 in
-  let rec node_size = function
-    | Ast.Stmt _ -> 0
-    | Ast.If (_, b) | Ast.Let (_, _, b) -> List.fold_left (fun a x -> a + node_size x) 0 b
-    | Ast.Loop l ->
-        let m = List.length l.Ast.body in
-        1 + (if m >= 2 then m else 0) + List.fold_left (fun a x -> a + node_size x) 0 l.Ast.body
-  in
   (* walk children regions: [base] is the start of the children region;
      [banned] accumulates sibling columns from enclosing levels *)
-  let rec walk children base (banned : bool array) path =
-    let m = List.length children in
-    let nedges = if m >= 2 then m else 0 in
-    let sizes = Array.of_list (List.map node_size children) in
-    let starts = Array.make m 0 in
-    let cursor = ref (base + nedges) in
-    for i = m - 1 downto 0 do
-      starts.(i) <- !cursor;
-      cursor := !cursor + sizes.(i)
-    done;
+  let rec walk children base (banned : bool array) =
+    let sizes = Array.of_list (List.map Layout.node_size children) in
+    let starts = Layout.children_region ~base sizes in
     List.iteri
       (fun i child ->
-        let banned' = Array.copy banned in
-        List.iteri
-          (fun j _ ->
-            if j <> i then
-              for c = starts.(j) to starts.(j) + sizes.(j) - 1 do
-                banned'.(c) <- true
-              done)
-          children;
         match child with
-        | Ast.Stmt _ -> ()
-        | Ast.If (_, b) | Ast.Let (_, _, b) -> walk b starts.(i) banned' (path @ [ i ])
         | Ast.Loop l ->
-            let allowed = Array.map not banned' in
-            Hashtbl.replace table starts.(i) allowed;
-            walk l.Ast.body (starts.(i) + 1) banned' (path @ [ i ]))
+            let banned' = Array.copy banned in
+            Array.iteri (fun j s -> if j <> i then Array.fill banned' s sizes.(j) true) starts;
+            Hashtbl.replace table starts.(i) (Array.map not banned');
+            walk l.Ast.body (starts.(i) + 1) banned'
+        | Ast.Stmt _ | Ast.If _ | Ast.Let _ -> ())
       children
   in
-  walk prog.Ast.nest 0 (Array.make n false) [];
+  walk layout.Layout.program.Ast.nest 0 (Array.make (Layout.size layout) false);
   table
-
-(* ---- pruning ---- *)
-
-type prune = Viol | Sat | Unknown
-
-(* Scan the assigned prefix of the transformed common-loop projection. *)
-let prefix_class (coords : Interval.t list) : prune =
-  let rec go = function
-    | [] -> Unknown
-    | x :: rest ->
-        if Interval.definitely_zero x then go rest
-        else if Interval.definitely_positive x then Sat
-        else if Interval.definitely_nonneg x then go rest
-        else Viol
-  in
-  go coords
 
 (* ---- the search ---- *)
 
@@ -240,11 +195,6 @@ let complete ?(options = default_options) ?(goal = fun _ -> true) (layout : Layo
                 (d, commons))
               deps
           in
-          let row_coord (row : Vec.t) (d : Dep.t) : Interval.t =
-            let acc = ref (Interval.point Mpz.zero) in
-            Array.iteri (fun j dj -> acc := Interval.add !acc (Interval.scale row.(j) dj)) d.Dep.vector;
-            !acc
-          in
           let todo =
             List.init n Fun.id |> List.filter (fun i -> (not fixed.(i)) && row_old_loop.(i) >= 0)
           in
@@ -293,10 +243,11 @@ let complete ?(options = default_options) ?(goal = fun _ -> true) (layout : Layo
                                 (* only the contiguous assigned prefix of
                                    the common rows is meaningful *)
                                 let rec take_prefix = function
-                                  | p :: rest when fixed.(p) -> row_coord m.(p) d :: take_prefix rest
+                                  | p :: rest when fixed.(p) ->
+                                      Legality.image m.(p) d.Dep.vector :: take_prefix rest
                                   | _ -> []
                                 in
-                                prefix_class (take_prefix commons) = Viol)
+                                Legality.classify (take_prefix commons) = Legality.Violated)
                               dep_info
                           in
                           let result = if violated then None else assign rest in
@@ -315,37 +266,27 @@ let complete ?(options = default_options) ?(goal = fun _ -> true) (layout : Layo
           assign todo
         end
   in
-  if Pool.jobs () = 1 then begin
-    (* sequential: stop at the first structure that completes *)
-    let rec over_structures = function
-      | [] -> None
-      | r :: rest -> (
-          match try_structure r with Some m -> Some m | None -> over_structures rest)
-    in
-    over_structures structures
-  end
-  else begin
-    (* parallel: keep the first success in structure order — the same
-       answer the sequential loop returns (per-structure node budgets
-       make each exploration independent).  [winner] holds the lowest
-       structure index known to succeed; structures after it abort their
-       search early, structures before it always run to completion, so
-       the selected matrix never depends on timing. *)
-    let winner = Atomic.make max_int in
-    let rec cas_min i =
-      let cur = Atomic.get winner in
-      if i < cur && not (Atomic.compare_and_set winner cur i) then cas_min i
-    in
-    let results =
-      Pool.map
-        (fun (idx, r) ->
-          if Atomic.get winner < idx then None
-          else begin
-            let res = try_structure ~abort:(fun () -> Atomic.get winner < idx) r in
-            (match res with Some _ -> cas_min idx | None -> ());
-            res
-          end)
-        (List.mapi (fun i r -> (i, r)) structures)
-    in
-    List.find_map Fun.id results
-  end
+  (* Keep the first success in structure order.  [winner] holds the
+     lowest structure index known to succeed; structures after it abort
+     their search early, structures before it always run to completion
+     (per-structure node budgets make each exploration independent), so
+     the selected matrix never depends on timing.  At one job [Pool.map]
+     is [List.map] on the calling domain, and every structure after the
+     first success is skipped. *)
+  let winner = Atomic.make max_int in
+  let rec cas_min i =
+    let cur = Atomic.get winner in
+    if i < cur && not (Atomic.compare_and_set winner cur i) then cas_min i
+  in
+  let results =
+    Pool.map
+      (fun (idx, r) ->
+        if Atomic.get winner < idx then None
+        else begin
+          let res = try_structure ~abort:(fun () -> Atomic.get winner < idx) r in
+          (match res with Some _ -> cas_min idx | None -> ());
+          res
+        end)
+      (List.mapi (fun i r -> (i, r)) structures)
+  in
+  List.find_map Fun.id results

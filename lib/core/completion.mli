@@ -58,6 +58,10 @@ val reorder_sites : Inl_ir.Ast.program -> (Inl_ir.Ast.path * int) list
 (** Multi-child nodes of the program with their child counts — the sites
     a statement reordering can permute, in DFS order. *)
 
+val permutations : 'a list -> 'a list list
+(** Every ordering of a list of distinct elements, the input's own order
+    first. *)
+
 val seed_rows : ?allow_reversal:bool -> Layout.t -> Vec.t list
 (** The candidate first rows of the completion search: a signed unit
     vector for every loop column of the layout, in column order

@@ -43,17 +43,18 @@ let describe = function
 (* Distribution between children [at-1] and [at] of a single top-level
    loop runs all first-group instances before all second-group instances,
    so it is legal iff no dependence goes from the second group to the
-   first. *)
-let distribution_legal (layout : Layout.t) (deps : Dep.t list) ~at : bool =
+   first.  The first such dependence is the error. *)
+let distribution_legal (layout : Layout.t) (deps : Dep.t list) ~at : (unit, Dep.t) result =
   match layout.Layout.program.Ast.nest with
-  | [ Ast.Loop _ ] ->
-      let group label =
-        match (Layout.stmt_info layout label).Layout.path with
-        | _ :: c :: _ -> c >= at
-        | _ -> false
-      in
-      not (List.exists (fun (d : Dep.t) -> group d.Dep.src && not (group d.dst)) deps)
-  | _ -> false
+  | [ Ast.Loop l ] -> (
+      if at <= 0 || at >= List.length l.Ast.body then
+        invalid_arg "Completion_ext.distribution_legal: split point outside the loop body";
+      (* every statement sits under the loop: its path is [0; child; ...] *)
+      let second label = List.nth (Layout.stmt_info layout label).Layout.path 1 >= at in
+      match List.find_opt (fun (d : Dep.t) -> second d.Dep.src && not (second d.dst)) deps with
+      | None -> Ok ()
+      | Some d -> Error d)
+  | _ -> invalid_arg "Completion_ext.distribution_legal: program must be a single top-level loop"
 
 (* Fusing two adjacent top-level loops (headers taken from the first) is
    legal iff no conflicting access pair (S in the first loop, T in the
@@ -144,7 +145,7 @@ let variants (layout : Layout.t) (deps : Dep.t list) : variant list =
     | [ Ast.Loop l ] ->
         List.filter_map
           (fun at ->
-            if distribution_legal layout deps ~at then begin
+            if Result.is_ok (distribution_legal layout deps ~at) then begin
               let _, prog = Tmat.distribute layout ~at in
               let lay = Layout.of_program ~padding:layout.Layout.padding prog in
               Some

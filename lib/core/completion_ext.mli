@@ -27,10 +27,12 @@ type variant = {
 
 val describe : restructuring -> string
 
-val distribution_legal : Layout.t -> Dep.t list -> at:int -> bool
+val distribution_legal : Layout.t -> Dep.t list -> at:int -> (unit, Dep.t) result
 (** Splitting the single top-level loop between children [at-1] and [at]
     is legal iff no dependence flows from the second group back to the
-    first. *)
+    first; the error is the first such dependence.
+    @raise Invalid_argument unless the program is one top-level loop and
+    [at] is strictly inside its body. *)
 
 val fusion_legal : Layout.t -> bool
 (** Fusing two adjacent top-level loops with matching headers is legal

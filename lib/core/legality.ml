@@ -3,44 +3,31 @@ module Vec = Inl_linalg.Vec
 module Interval = Inl_presburger.Interval
 module Dep = Inl_depend.Dep
 module Layout = Inl_instance.Layout
-module Pool = Inl_parallel.Pool
 module Memo = Inl_diag.Memo
 
 type verdict =
   | Legal of { structure : Blockstruct.t; unsatisfied : Dep.t list }
   | Illegal of string
 
-let transformed_vector (m : Mat.t) (d : Dep.t) : Interval.t array =
-  Array.init (Mat.rows m) (fun i ->
-      let acc = ref (Interval.point Inl_num.Mpz.zero) in
-      Array.iteri
-        (fun j dj -> acc := Interval.add !acc (Interval.scale (Mat.get m i j) dj))
-        d.Dep.vector;
-      !acc)
-
-(* Is the interval-vector box certainly lexicographically non-negative,
-   and can it be entirely zero?  Scan: a coordinate that is definitely
-   positive satisfies everything after it; one that is definitely zero is
-   skipped; one that spans [0, hi] may be zero, so the suffix must also
-   pass; anything admitting a negative value fails. *)
+(* Definition 6's lexicographic test on an interval box, exact: a
+   coordinate that is definitely positive satisfies everything after it;
+   one that is non-negative (zero, or spanning [0, hi]) may be zero, and
+   a positive value settles the box while zero defers to the suffix, so
+   the box is exactly as good as its suffix; anything admitting a
+   negative value violates, since everything before it may be zero. *)
 type lex_class = Satisfied | Possibly_zero | Violated
 
-let classify (p : Interval.t array) : lex_class =
-  let n = Array.length p in
-  let rec go i =
-    if i >= n then Possibly_zero
-    else begin
-      let x = p.(i) in
-      if Interval.definitely_zero x then go (i + 1)
-      else if Interval.definitely_positive x then Satisfied
-      else if Interval.definitely_nonneg x then
-        (* could be zero or positive: positive settles it, zero defers to
-           the suffix — so the suffix must pass on its own *)
-        match go (i + 1) with Satisfied -> Satisfied | Possibly_zero -> Possibly_zero | Violated -> Violated
+let rec classify : Interval.t list -> lex_class = function
+  | [] -> Possibly_zero
+  | x :: rest ->
+      if Interval.definitely_positive x then Satisfied
+      else if Interval.definitely_nonneg x then classify rest
       else Violated
-    end
-  in
-  go 0
+
+let image (row : Vec.t) (v : Interval.t array) : Interval.t =
+  let acc = ref (Interval.point Inl_num.Mpz.zero) in
+  Array.iteri (fun j x -> acc := Interval.add !acc (Interval.scale row.(j) x)) v;
+  !acc
 
 (* Per-dependence outcome; [Dep_violated] carries the Illegal message. *)
 type dep_verdict = Dep_satisfied | Dep_unsatisfied | Dep_violated of string
@@ -95,14 +82,8 @@ let verdict_memo : dep_verdict Dep_memo.t =
 let memo_stats () = Dep_memo.stats verdict_memo
 let clear_memo () = Dep_memo.clear verdict_memo
 
-let row_coord (row : Vec.t) (d : Dep.t) : Interval.t =
-  let acc = ref (Interval.point Inl_num.Mpz.zero) in
-  Array.iteri (fun j dj -> acc := Interval.add !acc (Interval.scale row.(j) dj)) d.Dep.vector;
-  !acc
-
 let classify_rows (d : Dep.t) (rows : Vec.t list) (src_precedes : bool) : dep_verdict =
-  let p = Array.of_list (List.map (fun row -> row_coord row d) rows) in
-  match classify p with
+  match classify (List.map (fun row -> image row d.Dep.vector) rows) with
   | Satisfied -> Dep_satisfied
   | Violated ->
       Dep_violated
@@ -182,42 +163,29 @@ let classify_one ?cache ~shared env (structure : Blockstruct.t) m im i src_prece
       let compute () = if shared then Dep_memo.memo verdict_memo key compute else compute () in
       match cache with None -> compute () | Some c -> Dep_memo.memo c key compute)
 
-let check ?(jobs = 1) ?cache (layout : Layout.t) (m : Mat.t) (deps : Dep.t list) : verdict =
+let check ?cache (layout : Layout.t) (m : Mat.t) (deps : Dep.t list) : verdict =
   match Blockstruct.infer layout m with
   | Error msg -> Illegal ("block structure: " ^ msg)
-  | Ok structure ->
+  | Ok structure -> (
       let env = make_env layout deps in
       let im = int_rows m in
-      let classify i =
-        classify_one ?cache ~shared:false env structure m im i (precedes env structure i)
-      in
-      let indices = List.init (Array.length env.e_deps) Fun.id in
-      let classify =
-        if jobs <= 1 then classify
-        else begin
-          (* forced here: a lazy value must not be forced by racing domains *)
-          if Option.is_some cache then ignore (Lazy.force im);
-          Array.get (Array.of_list (Pool.map ~jobs classify indices))
-        end
-      in
-      (* the first offender in dependence order, whatever the schedule;
-         the sequential path stops classifying at it *)
+      (* stop classifying at the first offender in dependence order *)
       let exception Offender of string in
+      let unsat = ref [] in
       try
-        let unsat =
-          List.fold_left
-            (fun unsat i ->
-              match classify i with
-              | Dep_satisfied -> unsat
-              | Dep_unsatisfied -> env.e_deps.(i) :: unsat
-              | Dep_violated msg -> raise (Offender msg))
-            [] indices
-        in
-        Legal { structure; unsatisfied = List.rev unsat }
-      with Offender msg -> Illegal msg
+        Array.iteri
+          (fun i d ->
+            let src_precedes = precedes env structure i in
+            match classify_one ?cache ~shared:false env structure m im i src_precedes with
+            | Dep_satisfied -> ()
+            | Dep_unsatisfied -> unsat := d :: !unsat
+            | Dep_violated msg -> raise (Offender msg))
+          env.e_deps;
+        Legal { structure; unsatisfied = List.rev !unsat }
+      with Offender msg -> Illegal msg)
 
-let is_legal ?jobs ?cache layout m deps =
-  match check ?jobs ?cache layout m deps with Legal _ -> true | Illegal _ -> false
+let is_legal ?cache layout m deps =
+  match check ?cache layout m deps with Legal _ -> true | Illegal _ -> false
 
 (* ---- incremental (delta) checking ----
 

@@ -14,6 +14,7 @@
     conservative: [Legal] certifies every concrete dependent pair. *)
 
 module Mat = Inl_linalg.Mat
+module Vec = Inl_linalg.Vec
 module Interval = Inl_presburger.Interval
 module Dep = Inl_depend.Dep
 module Layout = Inl_instance.Layout
@@ -22,8 +23,25 @@ type verdict =
   | Legal of { structure : Blockstruct.t; unsatisfied : Dep.t list }
   | Illegal of string
 
-val transformed_vector : Mat.t -> Dep.t -> Interval.t array
-(** [M . d] by exact interval arithmetic, indexed by new positions. *)
+(** {1 The lexicographic test}
+
+    This module owns Definition 6's test: the completion search prunes
+    with it and {!Complete.augment} checks its result with it. *)
+
+type lex_class =
+  | Satisfied  (** every point of the box is lexicographically positive *)
+  | Possibly_zero  (** no point is negative, and the zero vector is in the box *)
+  | Violated  (** some point is lexicographically negative *)
+
+val classify : Interval.t list -> lex_class
+(** Classify the box whose coordinates are the given intervals, outer
+    first.  Exact on a box of non-empty intervals. *)
+
+val image : Vec.t -> Interval.t array -> Interval.t
+(** [image row v] is [row · v] by exact interval arithmetic: one
+    coordinate of a transformed dependence vector. *)
+
+(** {1 Whole-matrix checks} *)
 
 module Key : sig
   type t = { k_dep : Dep.t; k_dep_hash : int; k_rows : int array; k_src_precedes : bool }
@@ -44,13 +62,11 @@ type cache
 
 val make_cache : unit -> cache
 
-val check : ?jobs:int -> ?cache:cache -> Layout.t -> Mat.t -> Dep.t list -> verdict
-(** With [jobs > 1] the per-dependence classifications fan out over
-    {!Inl_parallel.Pool}; the verdict is schedule-independent (the first
-    offender in dependence order is reported, and the sequential path
-    stops classifying at it). *)
+val check : ?cache:cache -> Layout.t -> Mat.t -> Dep.t list -> verdict
+(** Classifies the dependences in order and reports the first offender;
+    it stops classifying there. *)
 
-val is_legal : ?jobs:int -> ?cache:cache -> Layout.t -> Mat.t -> Dep.t list -> bool
+val is_legal : ?cache:cache -> Layout.t -> Mat.t -> Dep.t list -> bool
 
 (** {1 Incremental (delta) checking}
 

@@ -68,6 +68,16 @@ let step_of_spec ~(kind : string) (spec : string) : (step, string) result =
           with Failure _ -> fail ()))
   | _ -> fail ()
 
+let spec_of_step : step -> string * string = function
+  | Interchange (a, b) -> ("interchange", a ^ "," ^ b)
+  | Reverse v -> ("reverse", v)
+  | Scale (v, k) -> ("scale", Printf.sprintf "%s,%d" v k)
+  | Skew { target; source; factor } -> ("skew", Printf.sprintf "%s,%s,%d" target source factor)
+  | Align { stmt; loop; amount } -> ("align", Printf.sprintf "%s,%s,%d" stmt loop amount)
+  | Reorder { parent; perm } ->
+      let ints sep l = String.concat sep (List.map string_of_int l) in
+      ("reorder", ints "." parent ^ ":" ^ ints "," perm)
+
 let step_error fmt = Diag.errorf ~code:"T301" ~phase:Diag.Legality fmt
 
 let extend (layout : Layout.t) (acc : Mat.t) (step : step) :

@@ -6,7 +6,12 @@
     (statement reordering changes which positions are which).  This
     module owns that bookkeeping: it applies steps left to right,
     rebuilding the layout through {!Blockstruct} after each one, and
-    returns the single composite matrix. *)
+    returns the single composite matrix.
+
+    It also owns the step vocabulary: the CLI's step options, recipe
+    files ([Inl_fuzz.Tf]), the fuzzer's sampler and the autotuner's
+    moves all carry the typed {!step}, and {!step_of_spec} /
+    {!spec_of_step} are its one surface syntax. *)
 
 module Mat = Inl_linalg.Mat
 module Ast = Inl_ir.Ast
@@ -27,8 +32,14 @@ val pp_step : Format.formatter -> step -> unit
 val step_of_spec : kind:string -> string -> (step, string) result
 (** Parse the CLI surface syntax of one step: [kind] is the option name
     ([interchange], [reverse], [scale], [skew], [align], [reorder]) and
-    the string its argument, e.g. [step_of_spec ~kind:"skew" "J,I,1"].
+    the string its argument, e.g. [step_of_spec ~kind:"skew" "J,I,1"] or
+    [step_of_spec ~kind:"reorder" "0.1:1,0"] (path, then permutation).
     The error is a human-readable message naming the bad argument. *)
+
+val spec_of_step : step -> string * string
+(** The inverse of {!step_of_spec}: [(kind, spec)] with
+    [step_of_spec ~kind spec = Ok step] — the one printer of steps,
+    behind recipe files and the search's recipe lines. *)
 
 val extend : Layout.t -> Mat.t -> step -> (Mat.t * Layout.t, Diag.t list) result
 (** One composition iteration: build [step] against [layout], multiply

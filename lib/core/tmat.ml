@@ -51,16 +51,7 @@ let private_edge_column (layout : Layout.t) (si : Layout.stmt_info) : int option
       match pos with
       | Layout.Pedge (q, c) ->
           let edge_path = q @ [ c ] in
-          let is_prefix p path =
-            let rec go p q =
-              match (p, q) with
-              | [], _ -> true
-              | _, [] -> false
-              | a :: p', b :: q' -> a = b && go p' q'
-            in
-            go p path
-          in
-          if is_prefix edge_path si.Layout.path then begin
+          if Layout.is_prefix edge_path si.Layout.path then begin
             match !best with
             | Some (d, _) when d >= List.length edge_path -> ()
             | _ -> best := Some (List.length edge_path, i)
@@ -154,37 +145,8 @@ let distribute (layout : Layout.t) ~at : Mat.t * Ast.program =
       let n_old = Layout.size layout in
       let v_old = 0 in
       let edge_old i = 1 + (mcount - 1 - i) in
-      let block_ranges =
-        (* start index of each child's block in the old layout *)
-        let sizes =
-          List.map
-            (fun c ->
-              match c with
-              | Ast.Stmt _ -> 0
-              | Ast.Loop _ | Ast.If _ | Ast.Let _ ->
-                  (* size = positions in subtree *)
-                  let rec sz = function
-                    | Ast.Stmt _ -> 0
-                    | Ast.If (_, b) | Ast.Let (_, _, b) -> List.fold_left (fun a x -> a + sz x) 0 b
-                    | Ast.Loop ll ->
-                        let mm = List.length ll.Ast.body in
-                        1
-                        + (if mm >= 2 then mm else 0)
-                        + List.fold_left (fun a x -> a + sz x) 0 ll.Ast.body
-                  in
-                  sz c)
-            l.Ast.body
-        in
-        let sizes = Array.of_list sizes in
-        let starts = Array.make mcount 0 in
-        let cursor = ref (1 + mcount) in
-        for i = mcount - 1 downto 0 do
-          starts.(i) <- !cursor;
-          cursor := !cursor + sizes.(i)
-        done;
-        (starts, sizes)
-      in
-      let starts, sizes = block_ranges in
+      let sizes = Array.of_list (List.map Layout.node_size l.Ast.body) in
+      let starts = Layout.children_region ~base:1 sizes in
       (* new rows, in new layout order *)
       let rows = ref [] in
       let unit_row j = Vec.unit n_old j in
@@ -236,34 +198,18 @@ let jam (layout : Layout.t) : Mat.t * Ast.program =
       let n_old = Layout.size layout in
       (* old layout: [E_r1; E_r0; R(L2); R(L1)] *)
       let r_l2_start = 2 in
-      let rec node_size = function
-        | Ast.Stmt _ -> 0
-        | Ast.If (_, b) | Ast.Let (_, _, b) -> List.fold_left (fun a x -> a + node_size x) 0 b
-        | Ast.Loop ll ->
-            let mm = List.length ll.Ast.body in
-            1 + (if mm >= 2 then mm else 0) + List.fold_left (fun a x -> a + node_size x) 0 ll.Ast.body
-      in
-      let size_l2 = node_size (Ast.Loop l2) in
-      let r_l1_start = r_l2_start + size_l2 in
+      let r_l1_start = r_l2_start + Layout.node_size (Ast.Loop l2) in
       let m1 = List.length l1.Ast.body and m2 = List.length l2.Ast.body in
-      (* offsets of the pieces inside R(L2)/R(L1):
-         [v; edges (if >= 2); blocks m-1..0] *)
+      (* the pieces of R(L2)/R(L1): [v; edges (if >= 2); blocks m-1..0] *)
       let region_info base (l : Ast.loop) =
         let mm = List.length l.Ast.body in
-        let v = base in
-        let edges = if mm >= 2 then List.init mm (fun k -> base + 1 + k) else [] in
         (* edges listed as e_{m-1}..e_0 — index k holds e_{mm-1-k} *)
-        let sizes = Array.of_list (List.map node_size l.Ast.body) in
-        let starts = Array.make mm 0 in
-        let cursor = ref (base + 1 + List.length edges) in
-        for i = mm - 1 downto 0 do
-          starts.(i) <- !cursor;
-          cursor := !cursor + sizes.(i)
-        done;
-        (v, edges, starts, sizes)
+        let edges = if mm >= 2 then List.init mm (fun k -> base + 1 + k) else [] in
+        let sizes = Array.of_list (List.map Layout.node_size l.Ast.body) in
+        (edges, Layout.children_region ~base:(base + 1) sizes, sizes)
       in
-      let _v2, edges2, starts2, sizes2 = region_info r_l2_start l2 in
-      let v1, edges1, starts1, sizes1 = region_info r_l1_start l1 in
+      let edges2, starts2, sizes2 = region_info r_l2_start l2 in
+      let edges1, starts1, sizes1 = region_info r_l1_start l1 in
       let unit_row j = Vec.unit n_old j in
       let edge_row_of edges mm i root_edge =
         (* row producing the old edge label of child i of a group, where
@@ -272,8 +218,9 @@ let jam (layout : Layout.t) : Mat.t * Ast.program =
         if mm >= 2 then unit_row (List.nth edges (mm - 1 - i)) else unit_row root_edge
       in
       let rows = ref [] in
-      (* fused loop variable: the first loop's value (bounds come from l1) *)
-      rows := unit_row v1 :: !rows;
+      (* fused loop variable: the first loop's label, which opens R(L1)
+         (bounds come from l1) *)
+      rows := unit_row r_l1_start :: !rows;
       (* new edges e_{m-1}..e_0 for m = m1 + m2 children: child j < m1 from
          L1 (root edge 1 = position 1), child j >= m1 from L2 (root edge 0) *)
       let mtot = m1 + m2 in

@@ -2,6 +2,7 @@ module Ast = Inl_ir.Ast
 module Linexpr = Inl_presburger.Linexpr
 module Layout = Inl_instance.Layout
 module Diag = Inl_diag.Diag
+module Pipeline = Inl.Pipeline
 
 (* Fixed vocabulary: arities are per-array constants so the dependence
    analyzer never sees the same array at two ranks. *)
@@ -165,12 +166,10 @@ let multi_child_nodes (prog : Ast.program) : (Ast.path * int) list =
   List.iteri (go []) prog.Ast.nest;
   List.rev !acc
 
-let path_spec (path : int list) (perm : int list) : string =
-  Printf.sprintf "%s:%s"
-    (String.concat "." (List.map string_of_int path))
-    (String.concat "," (List.map string_of_int perm))
-
-let gen_step rng (prog : Ast.program) : (string * string) option =
+(* The order of the draws is part of every pinned campaign: [scale]
+   draws its factor before its loop, [align] its amount, then its loop,
+   then its statement. *)
+let gen_step rng (prog : Ast.program) : Pipeline.step option =
   let vars = Ast.loop_vars prog in
   let labels = List.map (fun (_, (s : Ast.stmt)) -> s.Ast.label) (Ast.stmts_with_paths prog) in
   let nodes = multi_child_nodes prog in
@@ -178,9 +177,9 @@ let gen_step rng (prog : Ast.program) : (string * string) option =
     match nodes with
     | [] -> None
     | _ ->
-        let path, n = Rng.pick rng nodes in
+        let parent, n = Rng.pick rng nodes in
         let perm = Rng.shuffle rng (List.init n Fun.id) in
-        Some ("reorder", path_spec path perm)
+        Some (Pipeline.Reorder { parent; perm })
   in
   if vars = [] then
     (* a loop-less statement chain: reordering is the only loop-free step *)
@@ -190,25 +189,27 @@ let gen_step rng (prog : Ast.program) : (string * string) option =
     let a = Rng.pick rng vars in
     match List.filter (fun v -> v <> a) vars with [] -> None | rest -> Some (a, Rng.pick rng rest)
   in
+  let amount () = Rng.pick rng [ -2; -1; 1; 2 ] in
   match Rng.int rng 6 with
-  | 0 -> Option.map (fun (a, b) -> ("interchange", Printf.sprintf "%s,%s" a b)) (pick_two ())
-  | 1 -> Some ("reverse", Rng.pick rng vars)
-  | 2 -> Some ("scale", Printf.sprintf "%s,%d" (Rng.pick rng vars) (Rng.range rng 2 3))
+  | 0 -> Option.map (fun (a, b) -> Pipeline.Interchange (a, b)) (pick_two ())
+  | 1 -> Some (Pipeline.Reverse (Rng.pick rng vars))
+  | 2 ->
+      let k = Rng.range rng 2 3 in
+      Some (Pipeline.Scale (Rng.pick rng vars, k))
   | 3 ->
       Option.map
-        (fun (t, s) -> ("skew", Printf.sprintf "%s,%s,%d" t s (Rng.pick rng [ -2; -1; 1; 2 ])))
+        (fun (target, source) -> Pipeline.Skew { target; source; factor = amount () })
         (pick_two ())
   | 4 when labels <> [] ->
-      Some
-        ( "align",
-          Printf.sprintf "%s,%s,%d" (Rng.pick rng labels) (Rng.pick rng vars)
-            (Rng.pick rng [ -2; -1; 1; 2 ]) )
+      let amount = amount () in
+      let loop = Rng.pick rng vars in
+      Some (Pipeline.Align { stmt = Rng.pick rng labels; loop; amount })
   | _ -> (
       match reorder_step () with
-      | None -> Some ("reverse", Rng.pick rng vars)
+      | None -> Some (Pipeline.Reverse (Rng.pick rng vars))
       | some -> some)
 
-let gen_steps rng prog : (string * string) list =
+let gen_steps rng prog : Pipeline.step list =
   List.filter_map (fun _ -> gen_step rng prog) (List.init (Rng.range rng 1 3) Fun.id)
 
 let gen_partial rng (size : int) (loop_pos : int list) : int list list =

@@ -5,7 +5,7 @@ module Diag = Inl_diag.Diag
 
 type edit = Negate_row of int | Add_entry of { row : int; col : int; delta : int }
 
-type t = { steps : (string * string) list; partial : int list list; edits : edit list }
+type t = { steps : Inl.Pipeline.step list; partial : int list list; edits : edit list }
 
 let expected_legal t = t.partial <> [] && t.edits = []
 
@@ -17,15 +17,20 @@ let expected_legal t = t.partial <> [] && t.edits = []
      edit negrow 2
      edit add 1,3,-1
 
-   Lines are independent; '#' starts a comment.  Everything round-trips
-   byte-exactly, which the corpus relies on. *)
+   Lines are independent; '#' starts a comment.  A step line is parsed
+   once, here, into a typed step; everything this module prints parses
+   back to the same recipe, which the corpus relies on. *)
 
 let ints_to_spec ns = String.concat "," (List.map string_of_int ns)
 
 let to_string t =
   let b = Buffer.create 128 in
   Buffer.add_string b "tf v1\n";
-  List.iter (fun (kind, spec) -> Buffer.add_string b (Printf.sprintf "step %s %s\n" kind spec)) t.steps;
+  List.iter
+    (fun step ->
+      let kind, spec = Inl.Pipeline.spec_of_step step in
+      Buffer.add_string b (Printf.sprintf "step %s %s\n" kind spec))
+    t.steps;
   List.iter (fun row -> Buffer.add_string b (Printf.sprintf "row %s\n" (ints_to_spec row))) t.partial;
   List.iter
     (fun e ->
@@ -57,8 +62,10 @@ let of_string src : (t, string) result =
         if line = "" || line = "tf v1" then go acc rest
         else
           match String.split_on_char ' ' line with
-          | "step" :: kind :: spec ->
-              go { acc with steps = (kind, String.concat " " spec) :: acc.steps } rest
+          | "step" :: kind :: spec -> (
+              match Inl.Pipeline.step_of_spec ~kind (String.concat " " spec) with
+              | Ok step -> go { acc with steps = step :: acc.steps } rest
+              | Error _ -> Error (Printf.sprintf "bad step line %S" line))
           | [ "row"; spec ] -> (
               match parse_ints spec with
               | Ok row -> go { acc with partial = row :: acc.partial } rest
@@ -115,23 +122,6 @@ let materialize (ctx : Inl.context) (t : t) : (Mat.t, string) result =
           match Inl.complete_result ctx ~partial:(List.map Vec.of_int_list partial) with
           | Ok m -> Ok m
           | Error ds -> Error (Diag.list_to_string ds))
-    | [], steps -> (
-        let parsed =
-          List.fold_left
-            (fun acc (kind, spec) ->
-              match acc with
-              | Error _ -> acc
-              | Ok ss -> (
-                  match Inl.Pipeline.step_of_spec ~kind spec with
-                  | Ok s -> Ok (s :: ss)
-                  | Error e -> Error e))
-            (Ok []) steps
-        in
-        match parsed with
-        | Error e -> Error e
-        | Ok ss -> (
-            match Inl.pipeline ctx (List.rev ss) with
-            | Ok m -> Ok m
-            | Error ds -> Error (Diag.list_to_string ds)))
+    | [], steps -> Result.map_error Diag.list_to_string (Inl.pipeline ctx steps)
   in
   match base with Error _ as e -> e | Ok m -> apply_edits m t.edits

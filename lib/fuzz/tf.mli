@@ -3,8 +3,9 @@
     A fuzz case must survive three lives: the live campaign, quarantine
     on disk, and replay after shrinking — so transformations are stored
     not as raw matrices (whose dimensions die with the layout) but as the
-    {e recipe} that builds them: named pipeline steps (the CLI's
-    [--interchange I,J] surface syntax), or partial first rows handed to
+    {e recipe} that builds them: pipeline steps ({!Inl.Pipeline.step},
+    written in the CLI's [--interchange I,J] surface syntax), or partial
+    first rows handed to
     the Section 6 completion procedure, optionally followed by raw matrix
     edits that deliberately break well-formedness.  Recipes re-materialize
     against whatever program they are replayed with, which is what lets
@@ -19,8 +20,7 @@ type edit =
           "possibly-illegal" half of the sampler's output *)
 
 type t = {
-  steps : (string * string) list;
-      (** [(kind, spec)] in {!Inl.Pipeline.step_of_spec} surface syntax *)
+  steps : Inl.Pipeline.step list;
   partial : int list list;
       (** when non-empty: first rows for the completion procedure
           (mutually exclusive with [steps]) *)
@@ -32,9 +32,12 @@ val expected_legal : t -> bool
     legality test must accept it — a rejection is a finding. *)
 
 val to_string : t -> string
-(** Line-based text format, stable for corpus files. *)
+(** Line-based text format, stable for corpus files; steps are printed
+    by {!Inl.Pipeline.spec_of_step}. *)
 
 val of_string : string -> (t, string) result
+(** Parses every line once: a step whose argument does not parse
+    ([step skew J,I,x]) is an [Error] here, not at {!materialize}. *)
 
 val materialize : Inl.context -> t -> (Mat.t, string) result
 (** Build the matrix against a concrete analyzed program.  [Error]

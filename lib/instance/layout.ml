@@ -24,11 +24,12 @@ type t = {
   stmts : stmt_info list;
 }
 
-let is_prefix (p : Ast.path) (q : Ast.path) =
-  let rec go p q =
-    match (p, q) with [], _ -> true | _, [] -> false | a :: p', b :: q' -> a = b && go p' q'
-  in
-  go p q
+let rec is_prefix (p : Ast.path) (q : Ast.path) =
+  match (p, q) with [], _ -> true | _, [] -> false | a :: p', b :: q' -> a = b && is_prefix p' q'
+
+let is_proper_prefix p q = List.compare_lengths p q < 0 && is_prefix p q
+
+let if_let_refused () = invalid_arg "Layout: If/Let nodes are code-generation output, not source"
 
 (* Positions contributed by the children of the node at [parent] (R,
    Equation 1): edge labels right-to-left when there are >= 2 children,
@@ -47,9 +48,26 @@ let rec positions_of_children parent (children : Ast.node list) : pos_kind list 
 
 and positions_of_node path : Ast.node -> pos_kind list = function
   | Ast.Stmt _ -> []
-  | Ast.If _ | Ast.Let _ ->
-      invalid_arg "Layout: If/Let nodes are code-generation output, not source"
+  | Ast.If _ | Ast.Let _ -> if_let_refused ()
   | Ast.Loop l -> Ploop (path, l.var) :: positions_of_children path l.body
+
+(* The lengths of the lists above, without building them. *)
+let rec node_size : Ast.node -> int = function
+  | Ast.Stmt _ -> 0
+  | Ast.If _ | Ast.Let _ -> if_let_refused ()
+  | Ast.Loop l ->
+      let m = List.length l.body in
+      List.fold_left (fun acc c -> acc + node_size c) (if m >= 2 then 1 + m else 1) l.body
+
+let children_region ~base (sizes : int array) : int array =
+  let m = Array.length sizes in
+  let starts = Array.make m 0 in
+  let cursor = ref (if m >= 2 then base + m else base) in
+  for i = m - 1 downto 0 do
+    starts.(i) <- !cursor;
+    cursor := !cursor + sizes.(i)
+  done;
+  starts
 
 let build_stmt_info padding (positions : pos_kind array) (path, (stmt : Ast.stmt)) loops =
   let n = Array.length positions in

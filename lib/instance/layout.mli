@@ -46,6 +46,29 @@ type t = {
   stmts : stmt_info list;  (** in syntactic order *)
 }
 
+val node_size : Ast.node -> int
+(** The number of positions a node's subtree contributes under [R]
+    (Equation 1): [0] for a statement; for a loop, its own label plus its
+    children region.  This module owns that geometry: {!Blockstruct},
+    the completion search and the distribution/jamming matrices all read
+    it from here.  @raise Invalid_argument on [If]/[Let] nodes. *)
+
+val children_region : base:int -> int array -> int array
+(** [children_region ~base sizes]: where the children's blocks start in
+    the region of a node's children that begins at position [base], given
+    each child's block size ([sizes.(i)] = [node_size] of child [i]).
+    The region holds the edge labels first (right-to-left, only when
+    there are at least two children), then the blocks right-to-left, so
+    child [m-1]'s block comes first.  Indexed by child.  Taking the sizes
+    rather than the children lets a caller place a permuted child list
+    without sizing its subtrees again. *)
+
+val is_prefix : Ast.path -> Ast.path -> bool
+(** [is_prefix p q]: the node at [p] is [q] or one of its ancestors. *)
+
+val is_proper_prefix : Ast.path -> Ast.path -> bool
+(** [is_proper_prefix p q]: the node at [p] is a strict ancestor of [q]. *)
+
 val of_program : ?padding:padding -> Ast.program -> t
 (** @raise Invalid_argument on programs containing [If] nodes (layouts are
     defined for source programs). *)

@@ -1,4 +1,5 @@
 module Ast = Inl_ir.Ast
+module Pipeline = Inl.Pipeline
 
 let loops_with_paths (prog : Ast.program) : (Ast.path * Ast.loop) list =
   let acc = ref [] in
@@ -16,20 +17,6 @@ let loops_with_paths (prog : Ast.program) : (Ast.path * Ast.loop) list =
   go [] prog.Ast.nest;
   List.rev !acc
 
-let rec is_proper_prefix a b =
-  match (a, b) with
-  | [], _ :: _ -> true
-  | x :: a', y :: b' -> x = y && is_proper_prefix a' b'
-  | _ -> false
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-      List.concat_map
-        (fun x ->
-          List.map (fun rest -> x :: rest) (permutations (List.filter (fun y -> y <> x) l)))
-        l
-
 (* Interchange and skew only make sense between loops on one
    root-to-statement path: positions in sibling subtrees cannot swap or
    reference each other under the block structure, so those pairs would
@@ -39,27 +26,26 @@ let nested_pairs loops =
     (fun (pa, (la : Ast.loop)) ->
       List.filter_map
         (fun (pb, (lb : Ast.loop)) ->
-          if is_proper_prefix pa pb then Some (la.Ast.var, lb.Ast.var) else None)
+          if Inl.Layout.is_proper_prefix pa pb then Some (la.Ast.var, lb.Ast.var) else None)
         loops)
     loops
 
-let path_spec (path : Ast.path) = String.concat "." (List.map string_of_int path)
-
-let enumerate (prog : Ast.program) : (string * string) list list =
+let enumerate (prog : Ast.program) : Pipeline.step list list =
   let loops = loops_with_paths prog in
   let pairs = nested_pairs loops in
-  let interchanges =
-    List.map (fun (outer, inner) -> ("interchange", Printf.sprintf "%s,%s" outer inner)) pairs
-  in
-  let reversals = List.map (fun (_, (l : Ast.loop)) -> ("reverse", l.Ast.var)) loops in
+  let interchanges = List.map (fun (outer, inner) -> Pipeline.Interchange (outer, inner)) pairs in
+  let reversals = List.map (fun (_, (l : Ast.loop)) -> Pipeline.Reverse l.Ast.var) loops in
   let skews =
     List.concat_map
       (fun (outer, inner) ->
         (* inner skewed by outer (the classical wavefront direction) and
            outer by inner (the paper's Section 5.4 example) *)
         List.concat_map
-          (fun (t, s) ->
-            [ ("skew", Printf.sprintf "%s,%s,1" t s); ("skew", Printf.sprintf "%s,%s,-1" t s) ])
+          (fun (target, source) ->
+            [
+              Pipeline.Skew { target; source; factor = 1 };
+              Pipeline.Skew { target; source; factor = -1 };
+            ])
           [ (inner, outer); (outer, inner) ])
       pairs
   in
@@ -73,10 +59,10 @@ let enumerate (prog : Ast.program) : (string * string) list list =
     List.concat_map
       (fun (outer, inner) ->
         List.map
-          (fun f ->
+          (fun factor ->
             [
-              ("skew", Printf.sprintf "%s,%s,%d" inner outer f);
-              ("interchange", Printf.sprintf "%s,%s" outer inner);
+              Pipeline.Skew { target = inner; source = outer; factor };
+              Pipeline.Interchange (outer, inner);
             ])
           [ 1; 2 ])
       pairs
@@ -90,28 +76,23 @@ let enumerate (prog : Ast.program) : (string * string) list list =
           List.concat_map
             (fun (_, (l : Ast.loop)) ->
               [
-                ("align", Printf.sprintf "%s,%s,1" s.Ast.label l.Ast.var);
-                ("align", Printf.sprintf "%s,%s,-1" s.Ast.label l.Ast.var);
+                Pipeline.Align { stmt = s.Ast.label; loop = l.Ast.var; amount = 1 };
+                Pipeline.Align { stmt = s.Ast.label; loop = l.Ast.var; amount = -1 };
               ])
             (Ast.loops_enclosing prog path))
         stmts
   in
   let reorders =
     List.concat_map
-      (fun (path, m) ->
+      (fun (parent, m) ->
         let ids = List.init m Fun.id in
         let perms =
-          if m <= 4 then List.filter (fun p -> p <> ids) (permutations ids)
+          if m <= 4 then List.filter (fun p -> p <> ids) (Inl.Completion.permutations ids)
           else
             List.init (m - 1) (fun i ->
                 List.mapi (fun j x -> if j = i then x + 1 else if j = i + 1 then x - 1 else x) ids)
         in
-        List.map
-          (fun perm ->
-            ( "reorder",
-              Printf.sprintf "%s:%s" (path_spec path)
-                (String.concat "," (List.map string_of_int perm)) ))
-          perms)
+        List.map (fun perm -> Pipeline.Reorder { parent; perm }) perms)
       (Inl.Completion.reorder_sites prog)
   in
   List.map (fun s -> [ s ]) (interchanges @ reversals @ skews @ aligns @ reorders)

@@ -1,7 +1,7 @@
 (** Candidate move enumeration for the transformation autotuner.
 
-    A {e move} is one named pipeline step in the CLI's surface syntax —
-    the same [(kind, spec)] pairs {!Inl_fuzz.Tf} records — phrased
+    A {e move} is one typed pipeline step ({!Inl.Pipeline.step}, the
+    steps {!Inl_fuzz.Tf} records) phrased
     against the program shape reached by the recipe so far, exactly as
     {!Inl.Pipeline.compose} will re-interpret it during replay.  The
     enumeration is structural and deliberately over-approximate: a move
@@ -24,7 +24,7 @@
 
 module Ast = Inl_ir.Ast
 
-val enumerate : Ast.program -> (string * string) list list
+val enumerate : Ast.program -> Inl.Pipeline.step list list
 (** All bounded moves against the given program shape, in a fixed
     deterministic order: interchanges (nested loop pairs), reversals,
     skews (nested pairs, both directions, factor [±1]), alignments

@@ -106,7 +106,13 @@ let recipe_line (t : Tf.t) : string =
              Printf.sprintf "row=[%s]" (String.concat "," (List.map string_of_int row)))
            t.Tf.partial)
   else if t.Tf.steps = [] then "identity"
-  else String.concat "; " (List.map (fun (kind, spec) -> kind ^ " " ^ spec) t.Tf.steps)
+  else
+    String.concat "; "
+      (List.map
+         (fun step ->
+           let kind, spec = Inl.Pipeline.spec_of_step step in
+           kind ^ " " ^ spec)
+         t.Tf.steps)
 
 (* ---- search states ---- *)
 
@@ -207,7 +213,7 @@ module Key = struct
 
   let prog_id text = { text; hash = Hashtbl.hash text }
 
-  type t = { k_prog : prog_id; k_steps : (string * string) list; k_rows : int array array }
+  type t = { k_prog : prog_id; k_steps : Inl.Pipeline.step list; k_rows : int array array }
 
   let equal a b =
     (a.k_prog == b.k_prog
@@ -242,7 +248,7 @@ let split_last steps =
   | [] -> invalid_arg "split_last"
   | last :: rev_init -> (List.rev rev_init, last)
 
-let materialize_steps ~(prog : Key.prog_id) (ctx : Inl.context) (steps : (string * string) list) :
+let materialize_steps ~(prog : Key.prog_id) (ctx : Inl.context) (steps : Inl.Pipeline.step list) :
     (Mat.t, string) result =
   let layout0 = ctx.Inl.layout in
   let rec prefix steps : (Mat.t * Layout.t, string) result =
@@ -250,16 +256,11 @@ let materialize_steps ~(prog : Key.prog_id) (ctx : Inl.context) (steps : (string
     | [] -> Ok (Mat.identity (Layout.size layout0), layout0)
     | _ ->
         Key_memo.memo pipe_memo { k_prog = prog; k_steps = steps; k_rows = [||] } (fun () ->
-            let init, (kind, spec) = split_last steps in
+            let init, step = split_last steps in
             match prefix init with
             | Error _ as e -> e
-            | Ok (acc, layout) -> (
-                match Inl.Pipeline.step_of_spec ~kind spec with
-                | Error e -> Error e
-                | Ok step -> (
-                    match Inl.Pipeline.extend layout acc step with
-                    | Ok r -> Ok r
-                    | Error ds -> Error (Diag.list_to_string ds))))
+            | Ok (acc, layout) ->
+                Result.map_error Diag.list_to_string (Inl.Pipeline.extend layout acc step))
   in
   (* copy: the memoized matrix is shared by every candidate extending
      this prefix, and stored state matrices must be independent *)

@@ -160,7 +160,7 @@ module Key : sig
   val prog_id : string -> prog_id
   (** A program's identity in the keys: its printed text, hashed once. *)
 
-  type t = { k_prog : prog_id; k_steps : (string * string) list; k_rows : int array array }
+  type t = { k_prog : prog_id; k_steps : Inl.Pipeline.step list; k_rows : int array array }
 
   include Hashtbl.HashedType with type t := t
 end

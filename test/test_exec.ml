@@ -42,7 +42,8 @@ let jacobi1d =
    enddo\n"
 
 (* skew the space loop by twice the time loop, then interchange *)
-let wavefront = [ ("skew", "I,K,2"); ("interchange", "K,I") ]
+let wavefront =
+  Inl.Pipeline.[ Skew { target = "I"; source = "K"; factor = 2 }; Interchange ("K", "I") ]
 
 (* a recipe goes through materialize + transform, whose code renames
    loops t1..tn *)

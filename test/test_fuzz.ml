@@ -103,7 +103,14 @@ let test_tf_reject_malformed () =
       match Tf.of_string spec with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted malformed recipe %S" spec)
-    [ "nonsense"; "tf v1\nstep"; "tf v1\nrow 1,x"; "tf v1\nedit negrow"; "tf v2" ]
+    [
+      "nonsense";
+      "tf v1\nstep";
+      "tf v1\nrow 1,x";
+      "tf v1\nedit negrow";
+      "tf v2";
+      "tf v1\nstep skew J,I,x";
+    ]
 
 (* ---- shrinker against synthetic oracles ---- *)
 
@@ -171,18 +178,17 @@ let test_shrink_respects_budget () =
 let test_shrink_tf_steps () =
   (* a recipe-dependent failure: the shrinker thins steps but keeps the
      failing one *)
-  let tf =
-    { Tf.steps = [ ("reverse", "i"); ("scale", "i,2"); ("reverse", "j") ]; partial = []; edits = [] }
-  in
+  let failing = Inl.Pipeline.Scale ("i", 2) in
+  let tf = { Tf.steps = [ Reverse "i"; failing; Reverse "j" ]; partial = []; edits = [] } in
   let oracle _ t =
-    if List.mem ("scale", "i,2") t.Tf.steps then
+    if List.mem failing t.Tf.steps then
       Oracle.Finding { signature = Oracle.Verdict_mismatch; detail = "synthetic" }
     else Oracle.Pass "gone"
   in
   let _, tf', _ =
     Shrink.shrink ~oracle ~signature:Oracle.Verdict_mismatch ~max_attempts:200 (parse big_src) tf
   in
-  Alcotest.(check bool) "failing step kept" true (List.mem ("scale", "i,2") tf'.Tf.steps);
+  Alcotest.(check bool) "failing step kept" true (List.mem failing tf'.Tf.steps);
   Alcotest.(check int) "other steps dropped" 1 (List.length tf'.Tf.steps)
 
 (* ---- watchdog ---- *)
@@ -236,7 +242,8 @@ let test_oracle_passes_known_good () =
 
 let test_oracle_skips_unmaterializable () =
   let prog = parse Px.simplified_cholesky in
-  let tf = { Tf.steps = [ ("interchange", "nope,never") ]; partial = []; edits = [] } in
+  let steps = [ Inl.Pipeline.Interchange ("nope", "never") ] in
+  let tf = { Tf.steps; partial = []; edits = [] } in
   match Oracle.run_case prog tf with
   | Oracle.Skip _ -> ()
   | other -> Alcotest.failf "expected skip, got %s" (Oracle.outcome_to_string other)

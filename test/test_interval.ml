@@ -1,5 +1,6 @@
 (* Unit and property tests for the interval domain that carries the
-   dependence distance/direction abstraction. *)
+   dependence distance/direction abstraction, and for the lexicographic
+   test (Definition 6) on interval boxes. *)
 
 module Mpz = Inl_num.Mpz
 module I = Inl_presburger.Interval
@@ -65,8 +66,33 @@ let points iv =
 
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count:300 gen f)
 
+(* Definition 6's test against brute force: a box of 1-3 small bounded
+   intervals, every point of it classified by the sign of its first
+   non-zero coordinate. *)
+let gen_box =
+  let open QCheck2.Gen in
+  list_size (int_range 1 3)
+    (let* a = int_range (-2) 2 in
+     let* b = int_range (-2) 2 in
+     return (I.of_ints (min a b) (max a b)))
+
+let lex_sign point =
+  match List.find_opt (fun x -> x <> 0) point with Some x -> compare x 0 | None -> 0
+
+let rec box_points = function
+  | [] -> [ [] ]
+  | iv :: rest ->
+      List.concat_map (fun x -> List.map (fun p -> x :: p) (box_points rest)) (points iv)
+
+let classify_exact box =
+  let signs = List.map lex_sign (box_points box) in
+  let c = Inl.Legality.classify box in
+  (c = Inl.Legality.Violated) = List.exists (fun s -> s < 0) signs
+  && (c = Inl.Legality.Satisfied) = List.for_all (fun s -> s > 0) signs
+
 let props =
   [
+    prop "lexicographic classify exact on boxes" gen_box classify_exact;
     prop "add sound on points" (QCheck2.Gen.pair gen_small_interval gen_small_interval)
       (fun (a, b) ->
         List.for_all

@@ -97,7 +97,8 @@ let scaling_prop (which, scales) =
     Mat.identity n
     ::
     (if name = "kji" then
-       match Tf.materialize ctx { Tf.steps = [ ("interchange", "J,I2") ]; partial = []; edits = [] } with
+       let steps = [ Inl.Pipeline.Interchange ("J", "I2") ] in
+       match Tf.materialize ctx { Tf.steps; partial = []; edits = [] } with
        | Ok m -> [ m ]
        | Error _ -> []
      else [])

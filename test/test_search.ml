@@ -41,6 +41,7 @@ let tiny =
 (* ---- move enumeration ---- *)
 
 let known_kinds = [ "interchange"; "reverse"; "skew"; "align"; "reorder" ]
+let specs moves = List.map (List.map Inl.Pipeline.spec_of_step) moves
 
 let test_moves_contract () =
   let prog = parse Px.cholesky_kji in
@@ -54,7 +55,7 @@ let test_moves_contract () =
           Alcotest.(check bool)
             (Printf.sprintf "kind %s known" kind)
             true (List.mem kind known_kinds))
-        steps;
+        (List.map Inl.Pipeline.spec_of_step steps);
       (* every enumerated move must either materialize or fail with a
          typed error — never an exception *)
       let ctx = Inl.analyze prog in
@@ -62,15 +63,15 @@ let test_moves_contract () =
       | Ok _ | Error _ -> ())
     moves;
   Alcotest.(check (list (list (pair string string))))
-    "deterministic" moves
-    (Moves.enumerate (parse Px.cholesky_kji))
+    "deterministic" (specs moves)
+    (specs (Moves.enumerate (parse Px.cholesky_kji)))
 
 let test_moves_cover_depths () =
   (* kji Cholesky has one loop pair per imperfect branch: interchanges
      and skews must appear for nested pairs, reversals for every loop;
      the wavefront compound (skew then interchange) rides every pair *)
   let moves = Moves.enumerate (parse Px.cholesky_kji) in
-  let kinds = List.sort_uniq compare (List.map fst (List.concat moves)) in
+  let kinds = List.sort_uniq compare (List.map fst (List.concat (specs moves))) in
   List.iter
     (fun k ->
       Alcotest.(check bool) (Printf.sprintf "has %s" k) true (List.mem k kinds))
@@ -79,8 +80,28 @@ let test_moves_cover_depths () =
     "has wavefront compound" true
     (List.exists
        (fun steps ->
-         match steps with [ ("skew", _); ("interchange", _) ] -> true | _ -> false)
+         match steps with [ Inl.Pipeline.Skew _; Interchange _ ] -> true | _ -> false)
        moves)
+
+(* Every step the searches produce prints to text that parses back to
+   the same step: the moves of each fuzz program and of Cholesky, and
+   the steps the fuzz sampler draws. *)
+let test_step_text_round_trips () =
+  let cases =
+    List.concat_map (fun seed -> List.init 40 (fun index -> Gen.case ~seed ~index)) [ 0; 1; 2 ]
+  in
+  let steps =
+    List.concat (Moves.enumerate (parse Px.cholesky_kji))
+    @ List.concat_map (fun (prog, tf) -> List.concat (Moves.enumerate prog) @ tf.Tf.steps) cases
+  in
+  Alcotest.(check bool) "some reorders" true
+    (List.exists (function Inl.Pipeline.Reorder _ -> true | _ -> false) steps);
+  List.iter
+    (fun step ->
+      let kind, spec = Inl.Pipeline.spec_of_step step in
+      if Inl.Pipeline.step_of_spec ~kind spec <> Ok step then
+        Alcotest.failf "%s %s does not parse back" kind spec)
+    steps
 
 (* ---- static cost tier ---- *)
 
@@ -184,7 +205,7 @@ let delta_prop (seed, index) =
   let env = Inl.Legality.make_env ctx.Inl.layout ctx.Inl.deps in
   let mat steps = Tf.materialize ctx { Tf.steps; partial = []; edits = [] } in
   let _, id_summary = Inl.Legality.check_env env (Mat.identity (Layout.size ctx.Inl.layout)) in
-  let step_line steps = String.concat "; " (List.map (fun (k, s) -> k ^ " " ^ s) steps) in
+  let step_line steps = Search.recipe_line { Tf.steps; partial = []; edits = [] } in
   let moves = List.filteri (fun i _ -> i < 8) (Moves.enumerate prog) in
   let parents =
     List.filter_map
@@ -306,7 +327,8 @@ let candidates (seed, index) =
   let ctx = Inl.analyze prog in
   let first k l = List.filteri (fun i _ -> i < k) l in
   let all = Moves.enumerate prog in
-  let moves = first 6 all @ first 3 (List.filter (fun mv -> fst (List.hd mv) = "reorder") all) in
+  let is_reorder = function Inl.Pipeline.Reorder _ :: _ -> true | _ -> false in
+  let moves = first 6 all @ first 3 (List.filter is_reorder all) in
   let pairs = List.concat_map (fun a -> List.map (fun b -> a @ b) moves) (first 2 moves) in
   let chains = ([] :: moves) @ pairs in
   let steps =
@@ -342,7 +364,12 @@ let keys_prop (seed, index) =
            (fun (s, _) ->
              ( key ~steps:s (id ctx),
                Printf.sprintf "pipe|%s|%s" (text ctx)
-                 (String.concat ";" (List.map (fun (k, v) -> k ^ " " ^ v) s)) ))
+                 (String.concat ";"
+                    (List.map
+                       (fun step ->
+                         let k, v = Inl.Pipeline.spec_of_step step in
+                         k ^ " " ^ v)
+                       s)) ))
            steps));
   search_lines "sig"
     (each (fun (ctx, steps, _) ->
@@ -512,6 +539,7 @@ let () =
         [
           Alcotest.test_case "enumeration contract" `Quick test_moves_contract;
           Alcotest.test_case "covers the move kinds" `Quick test_moves_cover_depths;
+          Alcotest.test_case "step text round-trips" `Quick test_step_text_round_trips;
         ] );
       ( "cost",
         [ Alcotest.test_case "static tier separates variants" `Quick test_static_score_orders_variants ] );
