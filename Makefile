@@ -2,7 +2,7 @@
 # full build, test suite, and static verification of the example
 # kernels (examples/kernels/dune).
 
-.PHONY: all build test check fuzz-smoke serve-smoke reuse-smoke corpus-smoke corpus-bench corpus-guard inlbench-smoke clean
+.PHONY: all build test check fuzz-smoke serve-smoke corpus-smoke inlbench-smoke clean
 
 all: build
 
@@ -35,14 +35,6 @@ serve-smoke:
 	dune build bin/inltool.exe
 	sh test/serve_smoke.sh ./_build/default/bin/inltool.exe
 
-# Static reuse-analysis smoke (the same drill the dune runtest rule
-# runs): `inltool analyze --reuse` on the paper's kji Cholesky must
-# report the pinned findings (U101/U102), scores, and typed degradation
-# codes (U901 singular, U902 budget), byte-reproducibly.
-reuse-smoke:
-	dune build bin/inltool.exe
-	sh test/reuse_smoke.sh ./_build/default/bin/inltool.exe
-
 # Corpus-runner acceptance drill (the same one the dune runtest rule
 # runs): a 4-kernel mini-manifest with a poisoned kernel that must be
 # quarantined, a SIGINT drill (exit 130, checkpoint flushed) and a
@@ -51,23 +43,6 @@ reuse-smoke:
 corpus-smoke:
 	dune build bin/inltool.exe
 	sh test/corpus_smoke.sh ./_build/default/bin/inltool.exe
-
-# Regenerate BENCH_corpus.json from the committed manifest.  The
-# manifest deliberately includes one poisoned kernel (injected hang
-# under a tight deadline) so every run exercises the retry ladder and
-# the quarantine path — the runner therefore exits 1, which is the
-# expected outcome, not a failure of the target.
-corpus-bench:
-	dune build bin/inltool.exe
-	-./_build/default/bin/inltool.exe corpus examples/kernels/corpus.manifest -o BENCH_corpus.json
-	cat BENCH_corpus.json
-
-# Corpus drift guard (also the opt-in `dune build @corpus-guard`
-# alias): re-runs the committed manifest fresh and untimed, and exits
-# nonzero if any kernel's status, winner recipe, miss counts or
-# degradation tags drift from the committed BENCH_corpus.json.
-corpus-guard:
-	dune build @corpus-guard
 
 # End-to-end benchmark smoke (inlbench/README.md): one short pass of
 # every workload, failing if the deterministic digest — winners, miss

@@ -12,7 +12,7 @@
      inltool analyze FILE --reuse static reuse (locality) report
      inltool optimize FILE        search for a locality-optimized loop order
      inltool fuzz                 differential fuzzing campaign / replay
-     inltool corpus MANIFEST      crash-tolerant bulk optimize + drift guard
+     inltool corpus MANIFEST      crash-tolerant bulk optimize
      inltool serve                JSON-lines optimization daemon
 
    Transformations compose left to right:
@@ -855,65 +855,35 @@ let corpus_cmd =
   let module Manifest = Inl_corpus.Manifest in
   let module Runner = Inl_corpus.Runner in
   let module Record = Inl_corpus.Record in
-  let module Bench = Inl_corpus.Bench in
   let code_of_records records =
     let has st = List.exists (fun (r : Record.t) -> r.Record.status = st) records in
     if has Record.Quarantined || has Record.Failed then 1
     else if has Record.Degraded then 2
     else 0
   in
-  let run setup manifest_path state timeout_ms no_timings out_file guard =
+  let run setup manifest_path state timeout_ms no_timings out_file =
     setup (fun () ->
         Sigint.install ();
         match Manifest.load manifest_path with
         | Error ds -> fail ds
         | Ok manifest -> (
-            (* guard mode is a fresh, unpersisted, untimed run: nothing
-               to resume from, nothing clobbered, wall-time noise out of
-               the comparison by construction *)
             let cfg =
               {
                 Runner.manifest;
-                state_dir = (if guard <> None then None else state);
+                state_dir = state;
                 timeout_ms;
-                timings = (not no_timings) && guard = None;
+                timings = not no_timings;
                 jobs = Inl.Pool.jobs ();
               }
             in
             match Runner.run ~stop:Sigint.requested cfg with
             | Error ds -> fail ds
-            | Ok report -> (
+            | Ok report ->
                 if report.Runner.interrupted then Sigint.exit_code
-                else
-                  let json =
-                    Bench.render ~manifest_fingerprint:manifest.Manifest.fingerprint
-                      ~jobs:cfg.Runner.jobs ~timings:cfg.Runner.timings report.Runner.records
-                  in
-                  match guard with
-                  | None ->
-                      write_file out_file json;
-                      Printf.printf "wrote %s\n" out_file;
-                      code_of_records report.Runner.records
-                  | Some baseline_path -> (
-                      match In_channel.with_open_bin baseline_path In_channel.input_all with
-                      | exception Sys_error m ->
-                          fail
-                            [
-                              Diag.errorf ~code:"K709" ~phase:Diag.Corpus
-                                "cannot read guard baseline: %s" m;
-                            ]
-                      | baseline -> (
-                          match Bench.guard ~baseline ~current:json with
-                          | Ok () ->
-                              Printf.printf
-                                "corpus-guard PASS: %d kernels match the committed report\n"
-                                (List.length report.Runner.records);
-                              0
-                          | Error drifts ->
-                              fail
-                                (List.map
-                                   (fun m -> Diag.errorf ~code:"K709" ~phase:Diag.Corpus "%s" m)
-                                   drifts))))))
+                else (
+                  write_file out_file (Runner.render cfg report.Runner.records);
+                  Printf.printf "wrote %s\n" out_file;
+                  code_of_records report.Runner.records)))
   in
   let manifest_arg =
     Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"MANIFEST")
@@ -948,14 +918,6 @@ let corpus_cmd =
       value & opt string "BENCH_corpus.json"
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the consolidated JSON report.")
   in
-  let guard =
-    some_arg ~conv:Arg.non_dir_file [ "guard" ] ~docv:"FILE"
-      ~doc:
-        "Drift gate: rerun the corpus fresh (unpersisted, untimed) and exit 1 with typed \
-         $(b,K709) diagnostics if any kernel's status, quarantine signature, winner \
-         recipe, miss/access/candidate counts or degradation tags differ from the \
-         committed report at $(i,FILE); wall-time noise is never compared."
-  in
   Cmd.v
     (Cmd.info "corpus"
        ~doc:
@@ -966,10 +928,8 @@ let corpus_cmd =
           checkpointed after every kernel for SIGKILL-safe resume, and the consolidated \
           per-kernel report (miss counts, wall times, delta-inherit and memo rates, \
           degradation tags) is written as JSON.  Exits 0 all clean, 1 quarantined/failed \
-          kernels or guard drift, 2 degraded, 130 interrupted.")
-    Term.(
-      const run $ setup_term $ manifest_arg $ state $ timeout_ms $ no_timings $ out_file
-      $ guard)
+          kernels, 2 degraded, 130 interrupted.")
+    Term.(const run $ setup_term $ manifest_arg $ state $ timeout_ms $ no_timings $ out_file)
 
 (* ---- serve ---- *)
 

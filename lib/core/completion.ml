@@ -52,7 +52,7 @@ let reorder_matrices (layout : Layout.t) : Mat.t list =
      first); after reordering at [p], remap the paths of the deeper sites
      that pass through [p]. *)
   let remap_path p perm q =
-    if not (Layout.is_proper_prefix p q) then q
+    if not (Ast.is_proper_prefix p q) then q
     else begin
       let rec go a b =
         match (a, b) with

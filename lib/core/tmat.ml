@@ -51,7 +51,7 @@ let private_edge_column (layout : Layout.t) (si : Layout.stmt_info) : int option
       match pos with
       | Layout.Pedge (q, c) ->
           let edge_path = q @ [ c ] in
-          if Layout.is_prefix edge_path si.Layout.path then begin
+          if Ast.is_prefix edge_path si.Layout.path then begin
             match !best with
             | Some (d, _) when d >= List.length edge_path -> ()
             | _ -> best := Some (List.length edge_path, i)

@@ -1,10 +1,11 @@
 (** One kernel's result: the unit of checkpointing and of the report.
 
-    A record is everything BENCH_corpus.json needs for one kernel, in a
-    single escaped tab-separated line — the checkpoint payload is just
-    these lines behind a {!Inl_serve.Snapshot} header, so a resumed run
-    reconstitutes completed kernels exactly and the consolidated report
-    is byte-identical to the uninterrupted run's. *)
+    A record is everything the consolidated report ({!Runner.render})
+    needs for one kernel, in a single escaped tab-separated line — the
+    checkpoint payload is just these lines behind a
+    {!Inl_serve.Snapshot} header, so a resumed run reconstitutes
+    completed kernels exactly and the consolidated report is
+    byte-identical to the uninterrupted run's. *)
 
 type status =
   | Clean  (** optimized, winner verified, no degradation *)

@@ -13,6 +13,7 @@ module Fcorpus = Inl_fuzz.Corpus
 module Oracle = Inl_fuzz.Oracle
 module Tf = Inl_fuzz.Tf
 module Exec = Inl_exec.Exec
+module Json = Inl_serve.Json
 
 type config = {
   manifest : Manifest.t;
@@ -237,8 +238,8 @@ let run_kernel cfg (e : Manifest.entry) : Record.t =
         let winner = o.Search.winner in
         (* When the manifest asks for it ([run=]), execute the
            winner for real: the recorded label is wall-time-free
-           ({!Exec.label}), so it is stable under the drift guard
-           while still pinning the plan and differential verdict. *)
+           ({!Exec.label}), so the report stays reproducible while
+           still recording the plan and differential verdict. *)
         let exec =
           match (num Opt.run, winner) with
           | Some size, Some w -> (
@@ -327,6 +328,44 @@ let run_kernel cfg (e : Manifest.entry) : Record.t =
         wall_ms;
       }
 
+(* ---- the consolidated report ---- *)
+
+let count_status records st = List.length (List.filter (fun r -> r.Record.status = st) records)
+let jstr s = Json.to_string (Json.String s)
+
+let kernel_json (r : Record.t) =
+  Printf.sprintf
+    "    {\"name\": %s, \"status\": %s, \"signature\": %s, \"winner\": %s, \"source_misses\": \
+     %d, \"winner_misses\": %d, \"accesses\": %d, \"candidates\": %d, \"delta_inherit_rate\": \
+     %.3f, \"legality_memo_hits\": %d, \"mat_memo_hits\": %d, \"retried\": %b, \
+     \"degradations\": %s, \"wall_ms\": %d, \"doall\": %d, \"exec\": %s}"
+    (jstr r.Record.name)
+    (jstr (Record.status_to_string r.Record.status))
+    (jstr r.Record.signature) (jstr r.Record.winner) r.Record.source_misses
+    r.Record.winner_misses r.Record.accesses r.Record.candidates (Record.delta_inherit_rate r)
+    r.Record.legality_memo_hits r.Record.mat_memo_hits r.Record.retried
+    (jstr r.Record.degradations) r.Record.wall_ms r.Record.doall (jstr r.Record.exec)
+
+let render cfg records =
+  let count = count_status records in
+  let wall = List.fold_left (fun acc r -> acc + r.Record.wall_ms) 0 records in
+  Printf.sprintf
+    "{\n\
+    \  \"schema\": \"inl-corpus-bench-v1\",\n\
+    \  \"manifest\": %s,\n\
+    \  \"jobs\": %d,\n\
+    \  \"timings\": %b,\n\
+    \  \"kernels\": [\n\
+     %s\n\
+    \  ],\n\
+    \  \"totals\": {\"kernels\": %d, \"clean\": %d, \"degraded\": %d, \"quarantined\": %d, \
+     \"failed\": %d, \"wall_ms\": %d}\n\
+     }\n"
+    (jstr cfg.manifest.Manifest.fingerprint) cfg.jobs cfg.timings
+    (String.concat ",\n" (List.map kernel_json records))
+    (List.length records) (count Record.Clean) (count Record.Degraded)
+    (count Record.Quarantined) (count Record.Failed) wall
+
 (* ---- the batch loop ---- *)
 
 let describe_record out (r : Record.t) ~timings =
@@ -407,11 +446,10 @@ let run ?(out = Format.std_formatter) ?(stop = fun () -> false) cfg =
           else
             Format.fprintf out
               "corpus: %d kernels: %d clean, %d degraded, %d quarantined, %d failed%s@." total
-              (List.length (List.filter (fun r -> r.Record.status = Record.Clean) records))
-              (List.length (List.filter (fun r -> r.Record.status = Record.Degraded) records))
-              (List.length
-                 (List.filter (fun r -> r.Record.status = Record.Quarantined) records))
-              (List.length (List.filter (fun r -> r.Record.status = Record.Failed) records))
+              (count_status records Record.Clean)
+              (count_status records Record.Degraded)
+              (count_status records Record.Quarantined)
+              (count_status records Record.Failed)
               (if !resumed > 0 then Printf.sprintf " (%d restored from checkpoint)" !resumed
                else "");
           Ok { records; resumed = !resumed; interrupted = !interrupted; diags = !diags })

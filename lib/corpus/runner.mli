@@ -31,8 +31,9 @@
     (projection, legality, reuse, search memos — cleared per attempt),
     so its record does not depend on batch order or on where a resumed
     run restarted; with [timings = false] the records, and therefore
-    the rendered BENCH_corpus.json, are byte-identical between an
-    interrupted + resumed run and an uninterrupted one. *)
+    the {!render}ed report, are byte-identical between an interrupted +
+    resumed run and an uninterrupted one.  [test/corpus.t] pins the
+    untimed report of the committed manifest byte for byte. *)
 
 type config = {
   manifest : Manifest.t;
@@ -54,6 +55,15 @@ val run : ?out:Format.formatter -> ?stop:(unit -> bool) -> config -> (report, In
 (** [Error] is reserved for refusals to start: an unusable state
     directory ([K700]) or a checkpoint/config mismatch ([K703]).
     Per-kernel misbehaviour of any kind becomes a record. *)
+
+val render : config -> Record.t list -> string
+(** The consolidated JSON report (the [-o] file of [inltool corpus]),
+    trailing newline included.  Deterministic: kernels in the order
+    given, string fields through the serve {!Inl_serve.Json} escaper,
+    rates with a fixed format, and the only varying input (wall time)
+    is part of the records — so equal records render byte-identical
+    reports, which is what the kill-and-resume drill compares.  The
+    header carries [cfg]'s manifest fingerprint, jobs and timings. *)
 
 val checkpoint_kind : string
 val checkpoint_version : int

@@ -221,9 +221,6 @@ let dependences_diag (layout : Layout.t) : Dep.t list * Diag.t list =
 
 let dependences (layout : Layout.t) : Dep.t list = fst (dependences_diag layout)
 
-let self_dependences deps label =
-  List.filter (fun (d : Dep.t) -> String.equal d.src label && String.equal d.dst label) deps
-
 (* ---- concrete oracle ---- *)
 
 type cell = string * int list

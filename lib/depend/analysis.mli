@@ -43,9 +43,6 @@ val dependences_diag : Layout.t -> Dep.t list * Inl_diag.Diag.t list
     per-reference-pair queries out over the {!Inl_parallel.Pool}; results
     are deterministic across repeated runs and worker counts. *)
 
-val self_dependences : Dep.t list -> string -> Dep.t list
-(** Dependences whose source and target are both the given statement. *)
-
 val concrete_dependences :
   Layout.t -> params:(string * int) list -> (string * string * Dep.kind * int array) list
 (** Test oracle: runs the program's access pattern exhaustively for the

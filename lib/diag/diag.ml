@@ -66,10 +66,6 @@ let has_warnings = List.exists (fun d -> d.severity = Warning)
 
 let exit_code ds = if has_errors ds then 1 else if has_warnings ds then 2 else 0
 
-let of_exn ~phase ~code = function
-  | Failure msg | Invalid_argument msg -> error ~code ~phase msg
-  | e -> error ~code ~phase (Printexc.to_string e)
-
 (* The wire encoding used by the serve protocol: a flat field list any
    serializer can map structurally.  The field set is part of the wire
    contract — extend it, never repurpose a key. *)

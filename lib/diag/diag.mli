@@ -67,10 +67,6 @@ val exit_code : t list -> int
 (** 1 if any error, 2 if warnings only, 0 otherwise — the process exit
     contract of [inltool]. *)
 
-val of_exn : phase:phase -> code:string -> exn -> t
-(** Wraps the payload of [Failure]/[Invalid_argument] (or
-    [Printexc.to_string] of anything else) as an error diagnostic. *)
-
 val to_fields : t -> (string * string) list
 (** Stable wire encoding: [("code", _); ("severity", _); ("phase", _);
     ("message", _)] plus [("line", _)] when a span is present.  The serve

@@ -103,15 +103,9 @@ let emit (prog : Ast.program) ~(params : (string * int) list)
   let parallel_paths =
     List.filter_map (fun (p, _, s) -> if s = Doall.Parallel then Some p else None) doall
   in
-  let rec is_strict_prefix p q =
-    match (p, q) with
-    | [], _ :: _ -> true
-    | x :: p, y :: q -> x = y && is_strict_prefix p q
-    | _, _ -> false
-  in
   let pragma_paths =
     List.filter
-      (fun p -> not (List.exists (fun q -> is_strict_prefix q p) parallel_paths))
+      (fun p -> not (List.exists (fun q -> Ast.is_proper_prefix q p) parallel_paths))
       parallel_paths
   in
   let ufs = ref [] in

@@ -36,18 +36,11 @@ let analyze (prog : Ast.program) : doall =
 let doall_count (d : doall) =
   List.length (List.filter (fun (_, _, s) -> s = Doall.Parallel) d)
 
-(* Is [prefix] a strict prefix of [path]? *)
-let rec strict_prefix prefix path =
-  match (prefix, path) with
-  | [], _ :: _ -> true
-  | x :: p, y :: q -> x = y && strict_prefix p q
-  | _, _ -> false
-
 let choose (d : doall) : plan =
   (* depth of a loop = number of loops enclosing it (paths also traverse
      [If]/[Let] nodes, so path length alone over-counts) *)
   let loop_depth path =
-    List.length (List.filter (fun (p, _, _) -> strict_prefix p path) d)
+    List.length (List.filter (fun (p, _, _) -> Ast.is_proper_prefix p path) d)
   in
   let parallels = List.filter (fun (_, _, s) -> s = Doall.Parallel) d in
   match parallels with

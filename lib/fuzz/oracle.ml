@@ -13,13 +13,6 @@ let signature_to_string = function
   | Verdict_mismatch -> "verdict-mismatch"
   | Timeout -> "timeout"
 
-let signature_of_string = function
-  | "crash" -> Some Crash
-  | "divergence" -> Some Divergence
-  | "verdict-mismatch" -> Some Verdict_mismatch
-  | "timeout" -> Some Timeout
-  | _ -> None
-
 type outcome =
   | Pass of string
   | Skip of string

@@ -17,8 +17,6 @@ val signature_to_string : signature -> string
 (** ["crash" | "divergence" | "verdict-mismatch" | "timeout"] — the
     stable triage vocabulary used in corpus file names. *)
 
-val signature_of_string : string -> signature option
-
 type outcome =
   | Pass of string  (** the three judges agree; the note says how *)
   | Skip of string

@@ -24,11 +24,6 @@ type t = {
   stmts : stmt_info list;
 }
 
-let rec is_prefix (p : Ast.path) (q : Ast.path) =
-  match (p, q) with [], _ -> true | _, [] -> false | a :: p', b :: q' -> a = b && is_prefix p' q'
-
-let is_proper_prefix p q = List.compare_lengths p q < 0 && is_prefix p q
-
 let if_let_refused () = invalid_arg "Layout: If/Let nodes are code-generation output, not source"
 
 (* Positions contributed by the children of the node at [parent] (R,
@@ -79,7 +74,7 @@ let build_stmt_info padding (positions : pos_kind array) (path, (stmt : Ast.stmt
   Array.iteri
     (fun idx pos ->
       match pos with
-      | Pedge (q, c) -> if is_prefix (q @ [ c ]) path then b.(idx) <- Mpz.one
+      | Pedge (q, c) -> if Ast.is_prefix (q @ [ c ]) path then b.(idx) <- Mpz.one
       | Ploop (q, _) -> (
           (* is q one of the statement's own loops? *)
           match List.find_opt (fun (j, lp) -> ignore j; lp = q) (List.mapi (fun j lp -> (j, lp)) loop_paths) with
@@ -94,7 +89,7 @@ let build_stmt_info padding (positions : pos_kind array) (path, (stmt : Ast.stmt
                   (* deepest enclosing loop of the statement that is an
                      ancestor of q: its label is what procedure M copies *)
                   let best = ref (-1) in
-                  List.iteri (fun j lp -> if is_prefix lp q then best := j) loop_paths;
+                  List.iteri (fun j lp -> if Ast.is_prefix lp q then best := j) loop_paths;
                   if !best >= 0 then Mat.set a idx !best Mpz.one)))
     positions;
   {

@@ -63,12 +63,6 @@ val children_region : base:int -> int array -> int array
     rather than the children lets a caller place a permuted child list
     without sizing its subtrees again. *)
 
-val is_prefix : Ast.path -> Ast.path -> bool
-(** [is_prefix p q]: the node at [p] is [q] or one of its ancestors. *)
-
-val is_proper_prefix : Ast.path -> Ast.path -> bool
-(** [is_proper_prefix p q]: the node at [p] is a strict ancestor of [q]. *)
-
 val of_program : ?padding:padding -> Ast.program -> t
 (** @raise Invalid_argument on programs containing [If] nodes (layouts are
     defined for source programs). *)

@@ -63,6 +63,11 @@ type program = { params : string list; nest : node list }
    of the forest.  [] is the (virtual) root. *)
 type path = int list
 
+let rec is_prefix (p : path) (q : path) =
+  match (p, q) with [], _ -> true | _, [] -> false | a :: p', b :: q' -> a = b && is_prefix p' q'
+
+let is_proper_prefix p q = List.compare_lengths p q < 0 && is_prefix p q
+
 let bterm e = { num = e; den = Mpz.one }
 let bterm_int n = bterm (Linexpr.of_int n)
 let bterm_var v = bterm (Linexpr.var v)

@@ -85,6 +85,12 @@ type path = int list
 (** A path identifies a node: the sequence of child indices from the
     root of the forest.  [[]] is the (virtual) root. *)
 
+val is_prefix : path -> path -> bool
+(** [is_prefix p q]: the node at [p] is [q] or one of its ancestors. *)
+
+val is_proper_prefix : path -> path -> bool
+(** [is_proper_prefix p q]: the node at [p] is a strict ancestor of [q]. *)
+
 (** {2 Construction helpers} *)
 
 val bterm : affine -> bterm

@@ -95,7 +95,6 @@ let pp_program fmt (p : program) =
   Format.fprintf fmt "@[<v>%a@]" pp_nodes p.nest
 
 let program_to_string (p : program) = Format.asprintf "%a" pp_program p
-let node_to_string (n : node) = Format.asprintf "@[<v>%a@]" pp_node n
 
 (* Annotated variant: same layout, but a per-path hook can append a
    comment to loop headers (e.g. "parallel" from the DOALL analysis).

@@ -11,7 +11,6 @@ val pp_stmt : Format.formatter -> Ast.stmt -> unit
 val pp_node : Format.formatter -> Ast.node -> unit
 val pp_program : Format.formatter -> Ast.program -> unit
 val program_to_string : Ast.program -> string
-val node_to_string : Ast.node -> string
 
 val pp_program_annot :
   annot:(Ast.path -> string option) -> Format.formatter -> Ast.program -> unit

@@ -152,8 +152,6 @@ let nullspace (m : Mat.t) : Vec.t list =
       integerize v)
     free
 
-let row_nullspace m = nullspace (Mat.transpose m)
-
 let solve (m : Mat.t) (b : Vec.t) : Q.t array option =
   let nr = Mat.rows m and nc = Mat.cols m in
   let aug =

@@ -30,9 +30,6 @@ val nullspace : Mat.t -> Vec.t list
 (** A basis of integer vectors (cleared of denominators, gcd-reduced) for
     the right nullspace [{ x | M x = 0 }]. *)
 
-val row_nullspace : Mat.t -> Vec.t list
-(** Basis for [{ x | x^T M = 0 }], i.e. the nullspace of the transpose. *)
-
 val solve : Mat.t -> Vec.t -> Q.t array option
 (** [solve m b] is some rational [x] with [m x = b], or [None] when the
     system is inconsistent. *)

@@ -46,7 +46,6 @@ let equal a b =
   rows a = rows b && cols a = cols b && Array.for_all2 Vec.equal a b
 
 let append_row m v = Array.append m [| v |]
-let vstack a b = Array.append a b
 
 let sub_matrix m ~row ~col ~rows:r ~cols:c =
   Array.init r (fun i -> Array.init c (fun j -> m.(row + i).(col + j)))

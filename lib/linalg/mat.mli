@@ -26,7 +26,6 @@ val apply : t -> Vec.t -> Vec.t
 
 val equal : t -> t -> bool
 val append_row : t -> Vec.t -> t
-val vstack : t -> t -> t
 val sub_matrix : t -> row:int -> col:int -> rows:int -> cols:int -> t
 
 val is_permutation : t -> bool

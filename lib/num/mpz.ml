@@ -245,7 +245,6 @@ let mul x y =
   if x.sign = 0 || y.sign = 0 then zero
   else { sign = x.sign * y.sign; mag = mul_mag x.mag y.mag }
 
-let mul_int x n = mul x (of_int n)
 let succ x = add x one
 let pred x = sub x one
 

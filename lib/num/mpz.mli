@@ -45,7 +45,6 @@ val num_bits : t -> int
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val mul_int : t -> int -> t
 val succ : t -> t
 val pred : t -> t
 

@@ -41,8 +41,6 @@ let contains t v =
   (match t.lo with NegInf -> true | Fin a -> Mpz.compare a v <= 0 | PosInf -> false)
   && match t.hi with PosInf -> true | Fin b -> Mpz.compare v b <= 0 | NegInf -> false
 
-let contains_zero t = contains t Mpz.zero
-
 let definitely_positive t =
   (not (is_empty t)) && match t.lo with Fin a -> Mpz.is_positive a | PosInf -> true | NegInf -> false
 

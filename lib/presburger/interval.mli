@@ -28,7 +28,6 @@ val zero : t
 val is_empty : t -> bool
 val is_point : t -> Mpz.t option
 val contains : t -> Mpz.t -> bool
-val contains_zero : t -> bool
 
 val definitely_positive : t -> bool
 (** Every element is [>= 1]. *)

@@ -12,7 +12,6 @@ let vars sys =
   List.fold_left (fun acc c -> Sset.union acc (Sset.of_list (Constr.vars c))) Sset.empty sys
   |> Sset.elements
 
-let mem_var sys v = List.exists (fun c -> Constr.mem c v) sys
 let subst sys x e = List.map (fun c -> Constr.subst c x e) sys
 let rename f sys = List.map (Constr.rename f) sys
 

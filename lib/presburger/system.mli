@@ -13,7 +13,6 @@ val append : t -> t -> t
 val vars : t -> string list
 (** Sorted, without duplicates. *)
 
-val mem_var : t -> string -> bool
 val subst : t -> string -> Linexpr.t -> t
 val rename : (string -> string) -> t -> t
 

@@ -26,7 +26,7 @@ let nested_pairs loops =
     (fun (pa, (la : Ast.loop)) ->
       List.filter_map
         (fun (pb, (lb : Ast.loop)) ->
-          if Inl.Layout.is_proper_prefix pa pb then Some (la.Ast.var, lb.Ast.var) else None)
+          if Ast.is_proper_prefix pa pb then Some (la.Ast.var, lb.Ast.var) else None)
         loops)
     loops
 

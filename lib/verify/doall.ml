@@ -31,21 +31,11 @@ type status =
       (** the analysis could not decide: resource budget exhausted or an
           execution set that is only representable approximately *)
 
-let satisfiable ?ctx sys =
-  match System.normalize sys with None -> false | Some s -> Omega.satisfiable ?ctx s
-
 let kind_to_string = function `Write_write -> "write-write" | `Read_write -> "read-write"
 
 let witness_to_string w =
   Printf.sprintf "%s conflict on %s between %s and %s" (kind_to_string w.kind) w.array w.src
     w.dst
-
-(* Is [prefix] a (non-strict) prefix of [path]? *)
-let rec is_prefix prefix path =
-  match (prefix, path) with
-  | [], _ -> true
-  | x :: p, y :: q -> x = y && is_prefix p q
-  | _ :: _, [] -> false
 
 let analyze ?ctx (prog : Ast.program) : (Ast.path * string * status) list =
   let params = prog.Ast.params in
@@ -56,7 +46,7 @@ let analyze ?ctx (prog : Ast.program) : (Ast.path * string * status) list =
   Pool.map
     (fun ((lpath, (l : Ast.loop)) : Ast.path * Ast.loop) ->
       let under =
-        List.filter (fun (o : Instances.occurrence) -> is_prefix lpath o.Instances.path) occs
+        List.filter (fun (o : Instances.occurrence) -> Ast.is_prefix lpath o.Instances.path) occs
       in
       let witnesses = ref [] in
       let unknown = ref None in
@@ -71,7 +61,7 @@ let analyze ?ctx (prog : Ast.program) : (Ast.path * string * status) list =
         let outer_eq =
           List.filter_map
             (fun (p, v) ->
-              if List.length p < List.length lpath && is_prefix p lpath then
+              if Ast.is_proper_prefix p lpath then
                 Some (Constr.eq2 (Linexpr.var v) (Linexpr.var (suffix v)))
               else None)
             o1.Instances.loops
@@ -109,7 +99,7 @@ let analyze ?ctx (prog : Ast.program) : (Ast.path * string * status) list =
                           @ subs @ c1.Instances.sys
                           @ System.rename suffix c2.Instances.sys
                         in
-                        match satisfiable ?ctx sys with
+                        match Instances.satisfiable ?ctx sys with
                         | true ->
                             if c1.Instances.exact && c2.Instances.exact then (
                               let w =

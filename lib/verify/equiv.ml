@@ -45,18 +45,11 @@ module Diag = Inl_diag.Diag
 module Smap = Instances.Smap
 module Pool = Inl_parallel.Pool
 
-let vdiag sev code fmt =
-  Format.kasprintf (fun m -> Diag.make ~code ~severity:sev ~phase:Diag.Verify m) fmt
-
 (* The check cannot be decided within our means (residue enumeration or
    branch caps exceeded, unexpected wildcard shape); reported as V900. *)
 exception Unknown of string
 
-let max_modulus = 64
 let max_branches = 2048
-
-let satisfiable ?ctx sys =
-  match System.normalize sys with None -> false | Some s -> Omega.satisfiable ?ctx s
 
 (* Variable renamer that leaves parameters (shared between the two
    programs) untouched. *)
@@ -217,7 +210,9 @@ let infer_sigma ~(src : Instances.occurrence) ~(gen : Instances.occurrence) :
   let iters = List.map snd src.Instances.loops in
   match stmt_equations ~senv ~genv src.Instances.stmt gen.Instances.stmt with
   | Error why ->
-      Error (vdiag Diag.Error "V105" "statement %s computes a different expression: %s" label why)
+      Error
+        (Instances.vdiag Diag.Error "V105" "statement %s computes a different expression: %s"
+           label why)
   | Ok eqs ->
       let pinned =
         List.filter_map
@@ -264,7 +259,7 @@ let infer_sigma ~(src : Instances.occurrence) ~(gen : Instances.occurrence) :
         in
         if rows = [] then
           Error
-            (vdiag Diag.Warning "V900"
+            (Instances.vdiag Diag.Warning "V900"
                "cannot infer the iterator correspondence for statement %s (no subscript \
                 equations)"
                label)
@@ -272,13 +267,13 @@ let infer_sigma ~(src : Instances.occurrence) ~(gen : Instances.occurrence) :
           match solve_q rows ~n ~c with
           | `Inconsistent ->
               Error
-                (vdiag Diag.Error "V105"
+                (Instances.vdiag Diag.Error "V105"
                    "statement %s: source and generated subscripts admit no affine \
                     correspondence"
                    label)
           | `Underdetermined ks ->
               Error
-                (vdiag Diag.Warning "V900"
+                (Instances.vdiag Diag.Warning "V900"
                    "cannot infer the correspondence for iterator%s %s of statement %s"
                    (if List.length ks > 1 then "s" else "")
                    (String.concat ", " (List.map (List.nth iters) ks))
@@ -316,7 +311,7 @@ let negation_alternatives (d : System.t) : Constr.t list list =
         let m = Mpz.abs (Linexpr.coeff e w) in
         let rest = Linexpr.sub e (Linexpr.term (Linexpr.coeff e w) w) in
         (match Mpz.to_int_opt m with
-        | Some mi when mi <= max_modulus ->
+        | Some mi when mi <= Instances.max_modulus ->
             List.init (mi - 1) (fun r ->
                 let w' = Omega.fresh_var () in
                 [
@@ -332,7 +327,7 @@ let negation_alternatives (d : System.t) : Constr.t list list =
 
 (* Is (union of A) minus (union of B) non-empty? *)
 let diff_nonempty ?ctx (a : System.t list) (b : System.t list) : bool =
-  let branches = ref (List.filter (satisfiable ?ctx) a) in
+  let branches = ref (List.filter (Instances.satisfiable ?ctx) a) in
   List.iter
     (fun d ->
       let alts = negation_alternatives d in
@@ -342,7 +337,7 @@ let diff_nonempty ?ctx (a : System.t list) (b : System.t list) : bool =
             List.filter_map
               (fun alt ->
                 let s = alt @ br in
-                if satisfiable ?ctx s then Some s else None)
+                if Instances.satisfiable ?ctx s then Some s else None)
               alts)
           !branches
       in
@@ -406,8 +401,8 @@ type pairing = {
 let budgeted ~what add (f : unit -> unit) =
   try f () with
   | Omega.Blowup _ ->
-      add (vdiag Diag.Warning "V900" "check skipped (resource budget exhausted): %s" what)
-  | Unknown why -> add (vdiag Diag.Warning "V900" "check skipped (%s): %s" why what)
+      add (Instances.vdiag Diag.Warning "V900" "check skipped (resource budget exhausted): %s" what)
+  | Unknown why -> add (Instances.vdiag Diag.Warning "V900" "check skipped (%s): %s" why what)
 
 let check_sets ?ctx ~params add (p : pairing) =
   let label = p.src.Instances.stmt.Ast.label in
@@ -421,12 +416,12 @@ let check_sets ?ctx ~params add (p : pairing) =
           let cover = List.concat_map (coverage ?ctx ~params ~iters sigma) p.gen.Instances.ctxts in
           if diff_nonempty ?ctx src_sets cover then
             add
-              (vdiag Diag.Error "V101"
+              (Instances.vdiag Diag.Error "V101"
                  "statement %s: some source instances are never executed (dropped iterations)"
                  label);
           if diff_nonempty ?ctx cover src_sets then
             add
-              (vdiag Diag.Error "V102"
+              (Instances.vdiag Diag.Error "V102"
                  "statement %s: instances outside the source iteration set are executed (extra \
                   iterations)"
                  label));
@@ -452,13 +447,13 @@ let check_sets ?ctx ~params add (p : pairing) =
                     let base =
                       same_instance @ c1.Instances.sys @ System.rename ren2 c2.Instances.sys
                     in
-                    List.exists (fun branch -> satisfiable ?ctx (branch @ base)) distinct)
+                    List.exists (fun branch -> Instances.satisfiable ?ctx (branch @ base)) distinct)
                   p.gen.Instances.ctxts)
               p.gen.Instances.ctxts
           in
           if dup then
             add
-              (vdiag Diag.Error "V103"
+              (Instances.vdiag Diag.Error "V103"
                  "statement %s: some source instance is executed more than once (duplicated \
                   iterations)"
                  label))
@@ -541,7 +536,7 @@ let check_pair_order ?ctx ~params (p1, p2) : Diag.t list =
                                   (fun before ->
                                     if
                                       (not (List.mem (l1, l2, a1) !reported))
-                                      && satisfiable ?ctx (before @ src_base)
+                                      && Instances.satisfiable ?ctx (before @ src_base)
                                     then
                                       (* the dependence exists; now look
                                          for an execution order witness
@@ -557,7 +552,7 @@ let check_pair_order ?ctx ~params (p1, p2) : Diag.t list =
                                                 in
                                                 List.exists
                                                   (fun viol ->
-                                                    satisfiable ?ctx
+                                                    Instances.satisfiable ?ctx
                                                       (viol @ links1 @ links2 @ gsys
                                                      @ before @ src_base))
                                                   gen_violation)
@@ -567,7 +562,7 @@ let check_pair_order ?ctx ~params (p1, p2) : Diag.t list =
                                       if violated then begin
                                         reported := (l1, l2, a1) :: !reported;
                                         add
-                                          (vdiag Diag.Error "V104"
+                                          (Instances.vdiag Diag.Error "V104"
                                              "dependence from %s to %s on %s is not preserved \
                                               (conflicting accesses reordered)"
                                              l1 l2 a1)
@@ -600,15 +595,15 @@ let check ?ctx ~(source : Ast.program) (gen : Ast.program) : Diag.t list =
            every parameter value) may legitimately vanish: dropping it
            preserves the (empty) instance set *)
         if
-          List.exists (fun (c : Instances.ctxt) -> satisfiable ?ctx c.Instances.sys)
+          List.exists (fun (c : Instances.ctxt) -> Instances.satisfiable ?ctx c.Instances.sys)
             o.Instances.ctxts
         then
           add
-            (vdiag Diag.Error "V106" "statement %s is missing from the transformed program"
-               o.Instances.stmt.Ast.label)
+            (Instances.vdiag Diag.Error "V106"
+               "statement %s is missing from the transformed program" o.Instances.stmt.Ast.label)
         else
           add
-            (vdiag Diag.Warning "V107"
+            (Instances.vdiag Diag.Warning "V107"
                "statement %s has a provably empty execution set and was dropped"
                o.Instances.stmt.Ast.label))
     src_occs;
@@ -622,7 +617,7 @@ let check ?ctx ~(source : Ast.program) (gen : Ast.program) : Diag.t list =
              src_occs)
       then
         add
-          (vdiag Diag.Error "V106" "statement %s does not occur in the source program"
+          (Instances.vdiag Diag.Error "V106" "statement %s does not occur in the source program"
              o.Instances.stmt.Ast.label))
     gen_occs;
   let pairings =
@@ -642,7 +637,7 @@ let check ?ctx ~(source : Ast.program) (gen : Ast.program) : Diag.t list =
     (fun p ->
       if not p.exact then
         add
-          (vdiag Diag.Warning "V900"
+          (Instances.vdiag Diag.Warning "V900"
              "statement %s: execution set only representable approximately; checks degraded"
              p.src.Instances.stmt.Ast.label))
     pairings;

@@ -18,7 +18,20 @@ module Constr = Inl_presburger.Constr
 module System = Inl_presburger.System
 module Omega = Inl_presburger.Omega
 module Ast = Inl_ir.Ast
+module Diag = Inl_diag.Diag
 module Smap = Map.Make (String)
+
+(* ---- helpers shared by the verifier's checks ---- *)
+
+let vdiag sev code fmt =
+  Format.kasprintf (fun m -> Diag.make ~code ~severity:sev ~phase:Diag.Verify m) fmt
+
+(* Largest divisor for which the checks enumerate residue branches when
+   testing divisibility facts; beyond it a check reports V900. *)
+let max_modulus = 64
+
+let satisfiable ?ctx sys =
+  match System.normalize sys with None -> false | Some s -> Omega.satisfiable ?ctx s
 
 type raff = { num : Linexpr.t; den : Mpz.t }
 
@@ -37,18 +50,10 @@ let raff_normalize { num; den } =
       den = fst (Mpz.divmod den g);
     }
 
-let raff_equal a b =
-  let a = raff_normalize a and b = raff_normalize b in
-  Mpz.equal a.den b.den && Linexpr.equal a.num b.num
-
 let raff_rename f { num; den } = { num = Linexpr.rename f num; den }
 
 (* a = b over the integers, with denominators cleared. *)
 let raff_eq_constr a b = Constr.eq2 (Linexpr.scale b.den a.num) (Linexpr.scale a.den b.num)
-
-let raff_pp fmt { num; den } =
-  if Mpz.is_one den then Linexpr.pp fmt num
-  else Format.fprintf fmt "(%a)/%a" Linexpr.pp num Mpz.pp den
 
 type ctxt = {
   sys : System.t;  (** over loop variables, parameters and wildcards *)

@@ -21,7 +21,8 @@
       of lying.
 
     Extraction is purely syntactic — it never calls the solver and never
-    raises. *)
+    raises.  The module also owns the three helpers every check of the
+    verifier shares ({!vdiag}, {!max_modulus}, {!satisfiable}). *)
 
 module Mpz = Inl_num.Mpz
 module Linexpr = Inl_presburger.Linexpr
@@ -36,13 +37,10 @@ type raff = { num : Linexpr.t; den : Mpz.t }
 val raff_of_affine : Linexpr.t -> raff
 val raff_of_var : string -> raff
 val raff_normalize : raff -> raff
-val raff_equal : raff -> raff -> bool
 val raff_rename : (string -> string) -> raff -> raff
 
 val raff_eq_constr : raff -> raff -> Constr.t
 (** [a = b] with denominators cleared. *)
-
-val raff_pp : Format.formatter -> raff -> unit
 
 type ctxt = {
   sys : System.t;
@@ -84,3 +82,17 @@ val loops_of : Ast.program -> (Ast.path * Ast.loop) list
 val refs_of : raff Smap.t -> Ast.stmt -> (bool * string * raff list) list
 (** Array references of a statement — the write first, then reads left
     to right — with subscripts resolved through the let-environment. *)
+
+(** {2 Shared by the checks} *)
+
+val vdiag :
+  Inl_diag.Diag.severity -> string -> ('a, Format.formatter, unit, Inl_diag.Diag.t) format4 -> 'a
+(** A [Verify]-phase diagnostic with a formatted message. *)
+
+val max_modulus : int
+(** Largest divisor for which a check enumerates residue branches when
+    testing a divisibility fact; beyond it the check reports [V900]. *)
+
+val satisfiable : ?ctx:Inl_presburger.Omega.ctx -> System.t -> bool
+(** Normalize, then ask the solver; an infeasible normal form is
+    [false] without a solver call. *)

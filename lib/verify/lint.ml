@@ -21,19 +21,13 @@ module Omega = Inl_presburger.Omega
 module Ast = Inl_ir.Ast
 module Diag = Inl_diag.Diag
 
-let vdiag sev code fmt =
-  Format.kasprintf (fun m -> Diag.make ~code ~severity:sev ~phase:Diag.Verify m) fmt
-
 let pp_guards fmt gs =
   Format.pp_print_list
     ~pp_sep:(fun f () -> Format.fprintf f " and ")
     Inl_ir.Pp.pp_guard fmt gs
 
-let unknown what = vdiag Diag.Warning "V900" "check skipped (resource budget exhausted): %s" what
-
-(* Largest divisor for which we enumerate residue branches when testing
-   divisibility facts; beyond it the check reports V900. *)
-let max_modulus = 64
+let unknown what =
+  Instances.vdiag Diag.Warning "V900" "check skipped (resource budget exhausted): %s" what
 
 (* Run a solver-backed check, degrading budget blowups to V900. *)
 let budgeted ~what (diags : Diag.t list ref) (f : unit -> Diag.t list) =
@@ -41,14 +35,16 @@ let budgeted ~what (diags : Diag.t list ref) (f : unit -> Diag.t list) =
   | ds -> diags := List.rev_append ds !diags
   | exception Omega.Blowup _ -> diags := unknown what :: !diags
 
-let satisfiable sys = match System.normalize sys with None -> false | Some s -> Omega.satisfiable s
+(* Some disjunct of the execution set has a point. *)
+let reachable (ctxts : Instances.ctxt list) =
+  List.exists (fun (c : Instances.ctxt) -> Instances.satisfiable c.Instances.sys) ctxts
 
 (* d | e (a rational affine num/den) holds everywhere in sys?
    Equivalent to: no residue 1..d-1 is reachable.  [None] when d is too
    large to enumerate. *)
 let always_divides sys (r : Instances.raff) (d : Mpz.t) : bool option =
   match Mpz.to_int_opt d with
-  | Some di when di <= max_modulus ->
+  | Some di when di <= Instances.max_modulus ->
       let m = Mpz.mul r.Instances.den d in
       let rec residues i =
         if i >= di then true
@@ -62,7 +58,7 @@ let always_divides sys (r : Instances.raff) (d : Mpz.t) : bool option =
                     (Linexpr.const (Mpz.mul (Mpz.of_int i) r.Instances.den)))
                  (Linexpr.term m w))
           in
-          if satisfiable (c :: sys) then false else residues (i + 1)
+          if Instances.satisfiable (c :: sys) then false else residues (i + 1)
       in
       Some (residues 1)
   | _ -> None
@@ -89,8 +85,8 @@ let check_structure (prog : Ast.program) : Diag.t list =
             find 0)
           scope_words
       in
-      if is_scope then [ vdiag Diag.Error "V005" "%s" msg ]
-      else [ vdiag Diag.Error "V007" "%s" msg ]
+      if is_scope then [ Instances.vdiag Diag.Error "V005" "%s" msg ]
+      else [ Instances.vdiag Diag.Error "V007" "%s" msg ]
 
 let run (prog : Ast.program) : Diag.t list =
   match check_structure prog with
@@ -107,26 +103,23 @@ let run (prog : Ast.program) : Diag.t list =
             let live' = ref live in
             if live then
               budgeted ~what:"guard reachability" diags (fun () ->
-                  if
-                    not
-                      (List.exists (fun (c : Instances.ctxt) -> satisfiable c.Instances.sys) inner)
-                  then (
+                  if not (reachable inner) then (
                     live' := false;
-                    [ vdiag Diag.Warning "V002" "guard is unreachable: %a" pp_guards gs ])
+                    [ Instances.vdiag Diag.Warning "V002" "guard is unreachable: %a" pp_guards gs ])
                   else
                     List.concat_map
                       (fun g ->
                         let redundant =
                           List.for_all
                             (fun (c : Instances.ctxt) ->
-                              satisfiable c.Instances.sys = false
+                              Instances.satisfiable c.Instances.sys = false
                               || guard_redundant c.Instances.sys c.Instances.env g = Some true)
                             ctxts
                         in
                         if redundant then
                           [
-                            vdiag Diag.Info "V004" "guard is implied by enclosing bounds: %a"
-                              pp_guards [ g ];
+                            Instances.vdiag Diag.Info "V004"
+                              "guard is implied by enclosing bounds: %a" pp_guards [ g ];
                           ]
                         else [])
                       gs);
@@ -139,7 +132,7 @@ let run (prog : Ast.program) : Diag.t list =
                   let guarded =
                     List.for_all
                       (fun (c : Instances.ctxt) ->
-                        satisfiable c.Instances.sys = false
+                        Instances.satisfiable c.Instances.sys = false
                         ||
                         let rr = Instances.subst_env c.Instances.env t.Ast.num in
                         always_divides c.Instances.sys rr t.Ast.den = Some true)
@@ -148,7 +141,7 @@ let run (prog : Ast.program) : Diag.t list =
                   if guarded then []
                   else
                     [
-                      vdiag Diag.Error "V006"
+                      Instances.vdiag Diag.Error "V006"
                         "let %s divides by %a but no enclosing guard ensures divisibility \
                          (execution would fault)"
                         v Mpz.pp t.Ast.den;
@@ -159,16 +152,16 @@ let run (prog : Ast.program) : Diag.t list =
             let live' = ref live in
             if live then
               budgeted ~what:(Printf.sprintf "bounds of loop %s" l.Ast.var) diags (fun () ->
-                  if
-                    not
-                      (List.exists (fun (c : Instances.ctxt) -> satisfiable c.Instances.sys) inner)
-                  then (
+                  if not (reachable inner) then (
                     live' := false;
-                    [ vdiag Diag.Warning "V001" "loop %s never executes (empty bounds)" l.Ast.var ])
+                    [
+                      Instances.vdiag Diag.Warning "V001" "loop %s never executes (empty bounds)"
+                        l.Ast.var;
+                    ])
                   else if singular ctxts l then
                     [
-                      vdiag Diag.Info "V003" "loop %s runs at most one iteration per entry"
-                        l.Ast.var;
+                      Instances.vdiag Diag.Info "V003"
+                        "loop %s runs at most one iteration per entry" l.Ast.var;
                     ]
                   else []);
             List.iter (go inner ~live:!live') l.Ast.body
@@ -188,7 +181,7 @@ let run (prog : Ast.program) : Diag.t list =
                  @ List.map (Instances.upper_constr c.Instances.env var) l.Ast.upper.Ast.terms
                in
                not
-                 (satisfiable
+                 (Instances.satisfiable
                     ((Constr.lt2 (Linexpr.var v) (Linexpr.var v') :: bounds v)
                     @ bounds v' @ c.Instances.sys)))
              ctxts

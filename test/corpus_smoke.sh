@@ -89,7 +89,7 @@ run_corpus_bg() { # $1 = state dir, $2 = output json, $3 = stdout, $4 = stderr
 run_corpus "$DIR/s1" "$DIR/B1.json" > "$DIR/p1.out" 2> "$DIR/p1.err"
 code=$?
 [ "$code" -eq 1 ] || fail "phase 1 exit $code, wanted 1 (quarantined kernel); stderr: $(cat "$DIR/p1.err")"
-[ -f "$DIR/B1.json" ] || fail "phase 1: no BENCH_corpus.json"
+[ -f "$DIR/B1.json" ] || fail "phase 1: no report written"
 
 grep -q '"name": "trisolve", "status": "clean", .*"winner": "complete row=\[0,0,0,1\]"' "$DIR/B1.json" \
   || fail "phase 1: trisolve winner not the pinned completion"

@@ -5,8 +5,6 @@
    - Record: the escaped tab-separated line round-trips every status and
      survives hostile string fields (the checkpoint payload is exactly
      these lines);
-   - Bench: the drift guard catches every stable-field drift in both
-     directions and ignores wall-clock noise;
    - Runner: checkpointing end to end on a real (tiny) kernel —
      resume skips completed records, a config mismatch is a typed K703
      refusal, a corrupt checkpoint is a typed K704 cold start;
@@ -19,15 +17,9 @@ module Snapshot = Inl_serve.Snapshot
 module Manifest = Inl_corpus.Manifest
 module Opt = Inl_diag.Opt
 module Record = Inl_corpus.Record
-module Bench = Inl_corpus.Bench
 module Runner = Inl_corpus.Runner
 
 let null_out = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
-
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  n = 0 || go 0
 
 let tmpdir () =
   let dir = Filename.temp_file "inl-corpus-test" "" in
@@ -158,65 +150,6 @@ let test_delta_inherit_rate () =
   Alcotest.(check (float 1e-9)) "10/40" 0.25 (Record.delta_inherit_rate sample_record);
   Alcotest.(check (float 1e-9)) "nothing checked -> 0" 0.
     (Record.delta_inherit_rate { sample_record with Record.delta_inherited = 0; delta_checked = 0 })
-
-(* ---- bench guard ---- *)
-
-let clean_record name =
-  {
-    sample_record with
-    Record.name;
-    status = Record.Clean;
-    signature = "";
-    detail = "";
-    winner = "complete row=[0,1]";
-    winner_misses = 9;
-    retried = false;
-    degradations = "";
-    doall = 1;
-    exec = "ok:doall=J";
-  }
-
-let render records = Bench.render ~manifest_fingerprint:"f00" ~jobs:1 ~timings:true records
-
-let test_guard_passes_on_match () =
-  let b = render [ clean_record "a"; clean_record "b" ] in
-  (match Bench.guard ~baseline:b ~current:b with
-  | Ok () -> ()
-  | Error ds -> Alcotest.failf "drift on identical reports: %s" (String.concat "; " ds));
-  (* wall-clock noise is not drift *)
-  let noisy = render [ { (clean_record "a") with Record.wall_ms = 9999 }; clean_record "b" ] in
-  match Bench.guard ~baseline:b ~current:noisy with
-  | Ok () -> ()
-  | Error ds -> Alcotest.failf "wall_ms treated as stable: %s" (String.concat "; " ds)
-
-let test_guard_catches_drift () =
-  let b = render [ clean_record "a"; clean_record "b" ] in
-  let expect_drift what current needle =
-    match Bench.guard ~baseline:b ~current with
-    | Ok () -> Alcotest.failf "%s: not caught" what
-    | Error ds ->
-        if not (List.exists (contains ~needle) ds) then
-          Alcotest.failf "%s: messages %s lack %S" what (String.concat "; " ds) needle
-  in
-  expect_drift "miss-count drift"
-    (render [ { (clean_record "a") with Record.winner_misses = 10 }; clean_record "b" ])
-    "winner_misses drifted";
-  expect_drift "status drift"
-    (render [ { (clean_record "a") with Record.status = Record.Degraded }; clean_record "b" ])
-    "status drifted";
-  expect_drift "execution-label drift"
-    (render [ { (clean_record "a") with Record.exec = "degraded:X901" }; clean_record "b" ])
-    "exec drifted";
-  expect_drift "doall-count drift"
-    (render [ { (clean_record "a") with Record.doall = 0 }; clean_record "b" ])
-    "doall drifted";
-  expect_drift "kernel vanished" (render [ clean_record "a" ]) "not the fresh report";
-  expect_drift "kernel appeared"
-    (render [ clean_record "a"; clean_record "b"; clean_record "c" ])
-    "not the baseline";
-  match Bench.guard ~baseline:"not json" ~current:(render []) with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "unparsable baseline accepted"
 
 (* ---- runner checkpointing on a real kernel ---- *)
 
@@ -425,11 +358,6 @@ let () =
           Alcotest.test_case "line round-trip" `Quick test_record_roundtrip;
           Alcotest.test_case "garbage rejected" `Quick test_record_rejects_garbage;
           Alcotest.test_case "delta inherit rate" `Quick test_delta_inherit_rate;
-        ] );
-      ( "guard",
-        [
-          Alcotest.test_case "match passes, wall_ms ignored" `Quick test_guard_passes_on_match;
-          Alcotest.test_case "drift caught both ways" `Quick test_guard_catches_drift;
         ] );
       ( "runner",
         [
