@@ -93,7 +93,7 @@ let stats (c : t) : stats = { accesses = c.accesses; hits = c.hits; misses = c.a
 let miss_rate (s : stats) = if s.accesses = 0 then 0.0 else float_of_int s.misses /. float_of_int s.accesses
 
 module Address_map = struct
-  type entry = { base : int; dims : int list }
+  type entry = { base : int; dims : int array }
   type map = (string * entry) list
 
   let create (arrays : (string * int list) list) : map =
@@ -103,33 +103,31 @@ module Address_map = struct
         let cells = List.fold_left (fun acc d -> acc * (d + 1)) 1 dims in
         let base = !cursor in
         cursor := !cursor + (cells * elem_bytes);
-        (name, { base; dims }))
+        (name, { base; dims = Array.of_list dims }))
       arrays
 
-  let address (m : map) name (index : int list) =
+  let address (m : map) name (index : int array) =
     match List.assoc_opt name m with
     | None -> invalid_arg (Printf.sprintf "Address_map: unknown array %s" name)
     | Some { base; dims } ->
-        if List.length index <> List.length dims then
-          invalid_arg (Printf.sprintf "Address_map: %s expects %d subscripts" name (List.length dims));
-        let flat =
-          List.fold_left2
-            (fun acc i d ->
-              if i < 0 || i > d then
-                invalid_arg (Printf.sprintf "Address_map: %s subscript %d out of [0,%d]" name i d);
-              (acc * (d + 1)) + i)
-            0 index dims
-        in
-        base + (flat * elem_bytes)
+        if Array.length index <> Array.length dims then
+          invalid_arg (Printf.sprintf "Address_map: %s expects %d subscripts" name (Array.length dims));
+        let flat = ref 0 in
+        for j = 0 to Array.length dims - 1 do
+          let i = index.(j) and d = dims.(j) in
+          if i < 0 || i > d then
+            invalid_arg (Printf.sprintf "Address_map: %s subscript %d out of [0,%d]" name i d);
+          flat := (!flat * (d + 1)) + i
+        done;
+        base + (!flat * elem_bytes)
 end
 
 let simulate_program config arrays ?max_steps prog ~params =
   let map = Address_map.create arrays in
   let cache = create config in
-  let trace (a : Inl_interp.Interp.access) =
-    ignore (access cache (Address_map.address map a.Inl_interp.Interp.array a.Inl_interp.Interp.index))
-  in
-  ignore (Inl_interp.Interp.run ~trace ?max_steps prog ~params);
+  Inl_interp.Interp.trace ?max_steps
+    (fun name index _ -> ignore (access cache (Address_map.address map name index)))
+    prog ~params;
   stats cache
 
 let simulate_program_by_array config arrays ?max_steps prog ~params =
@@ -138,13 +136,12 @@ let simulate_program_by_array config arrays ?max_steps prog ~params =
   (* one shared cache — the arrays contend for lines exactly as in
      simulate_program — with hit/miss attribution per array name *)
   let per : (string, int * int) Hashtbl.t = Hashtbl.create 8 in
-  let trace (a : Inl_interp.Interp.access) =
-    let name = a.Inl_interp.Interp.array in
-    let hit = access cache (Address_map.address map name a.Inl_interp.Interp.index) in
-    let acc, hits = Option.value ~default:(0, 0) (Hashtbl.find_opt per name) in
-    Hashtbl.replace per name (acc + 1, if hit then hits + 1 else hits)
-  in
-  ignore (Inl_interp.Interp.run ~trace ?max_steps prog ~params);
+  Inl_interp.Interp.trace ?max_steps
+    (fun name index _ ->
+      let hit = access cache (Address_map.address map name index) in
+      let acc, hits = Option.value ~default:(0, 0) (Hashtbl.find_opt per name) in
+      Hashtbl.replace per name (acc + 1, if hit then hits + 1 else hits))
+    prog ~params;
   let by_array =
     List.filter_map
       (fun (name, _) ->

@@ -47,7 +47,7 @@ module Address_map : sig
   type map
 
   val create : (string * int list) list -> map
-  val address : map -> string -> int list -> int
+  val address : map -> string -> int array -> int
   (** @raise Invalid_argument for unknown arrays or out-of-range cells. *)
 end
 
@@ -58,11 +58,12 @@ val simulate_program :
   Inl_ir.Ast.program ->
   params:(string * int) list ->
   stats
-(** Runs the program in the interpreter and replays every array access
-    through a fresh cache.  With [max_steps] the underlying execution is
-    bounded and raises {!Inl_interp.Interp.Step_limit} past the
-    allowance — the search's trace tier uses this to stay responsive on
-    pathological candidates. *)
+(** Replays the program's access trace ({!Inl_interp.Interp.trace}:
+    only subscripts are evaluated) through a fresh cache.  With
+    [max_steps] the trace is bounded and raises
+    {!Inl_interp.Interp.Step_limit} past the allowance — the search's
+    trace tier uses this to stay responsive on pathological
+    candidates. *)
 
 val simulate_program_by_array :
   config ->

@@ -5,7 +5,7 @@
    Emit-only by design — nothing in tier-1 compiles the output, so the
    repo carries no C-compiler dependency; the file is for taking the
    measured schedules to real OpenMP hardware.  Array extents are
-   measured by tracing one interpreter run at the given parameter
+   measured by the interpreter's sizing pass at the given parameter
    values, so the emitted program is closed (no command-line inputs) and
    prints a checksum plus the kernel wall time. *)
 
@@ -16,27 +16,6 @@ module Doall = Inl_verify.Doall
 module Interp = Inl_interp.Interp
 
 type extent = { dims : int; lo : int array; hi : int array }
-
-let measure_extents (prog : Ast.program) ~params : (string * extent) list =
-  let tbl : (string, extent) Hashtbl.t = Hashtbl.create 8 in
-  let trace (a : Interp.access) =
-    let idx = Array.of_list a.Interp.index in
-    match Hashtbl.find_opt tbl a.Interp.array with
-    | None ->
-        Hashtbl.replace tbl a.Interp.array
-          { dims = Array.length idx; lo = Array.copy idx; hi = Array.copy idx }
-    | Some e ->
-        Array.iteri
-          (fun i v ->
-            if i < e.dims then begin
-              if v < e.lo.(i) then e.lo.(i) <- v;
-              if v > e.hi.(i) then e.hi.(i) <- v
-            end)
-          idx
-  in
-  ignore (Interp.run ~trace prog ~params);
-  Hashtbl.fold (fun name e acc -> (name, e) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let caffine (e : Ast.affine) = Format.asprintf "%a" Linexpr.pp e
 
@@ -97,7 +76,11 @@ let emit (prog : Ast.program) ~(params : (string * int) list)
         Buffer.add_char b '\n')
       fmt
   in
-  let extents = measure_extents prog ~params in
+  let extents =
+    List.map
+      (fun (name, lo, hi) -> (name, { dims = Array.length lo; lo; hi }))
+      (Interp.extents prog ~params)
+  in
   (* parallel loops that are not enclosed by another parallel loop get
      the pragma — OpenMP nested parallel regions would only oversubscribe *)
   let parallel_paths =

@@ -1,7 +1,7 @@
 (** Textual C/OpenMP backend.
 
     Lowers a (possibly transformed) nest to a self-contained C99
-    program: measured array extents (one traced interpreter run at the
+    program: measured array extents (the interpreter's sizing pass at the
     given parameter values sizes every array, with index macros
     shifting negative origins), [ceild]/[floord]/[lmax]/[lmin] helpers
     for strided and covering bounds, guards as [if]s, exact-quotient

@@ -3,18 +3,18 @@
 
    The plan is chosen from the DOALL report ({!Inl_verify.Doall}): the
    outermost loop whose status is [Parallel] becomes the fan-out
-   dimension.  Execution walks the nest sequentially with the
-   interpreter's hook ({!Inl_interp.Interp.run_nest}); each entry of the
-   chosen loop chunks its iteration range contiguously over the Domain
-   pool, one overlay store per chunk.  The DOALL condition is exactly
-   what makes this safe: no two iterations of the loop touch the same
-   cell with a write, so any cell a worker reads is either written
-   earlier by its own slice (found in the overlay) or never written by
-   any iteration (found in the shared base store, which is read-only
-   during the fan-out).  Overlays merge back in chunk order, so the
-   final store is deterministic — and byte-identical to the sequential
-   interpreter, which the differential check enforces before any timing
-   is reported. *)
+   dimension.  Execution is the interpreter's staged runner
+   ({!Inl_interp.Interp.run}) with that loop handed over as a fan-out:
+   each entry of it chunks its iteration range contiguously over the
+   Domain pool, and every chunk writes the one dense store in place.
+   The DOALL condition is exactly what makes this safe: no two
+   iterations of the loop touch a cell that either of them writes, so
+   the workers' writes are disjoint and any cell two workers both read
+   holds the same value for both.  With several chunks, each worker
+   marks the cells it adds to the store in its own map, OR-ed into the
+   shared one after the fan-out, so the final store is deterministic —
+   and byte-identical to the sequential interpreter, which the
+   differential check enforces before any timing is reported. *)
 
 module Ast = Inl_ir.Ast
 module Diag = Inl_diag.Diag
@@ -78,59 +78,20 @@ let choose (d : doall) : plan =
 
 let plan_var = function Par { var; _ } -> Some var | Seq _ -> None
 
-(* Contiguous near-equal chunks, at most [k], in input order. *)
-let chunk k xs =
-  let n = List.length xs in
-  if n = 0 then []
-  else
-    let k = max 1 (min k n) in
-    let base = n / k and extra = n mod k in
-    let rec take i xs acc =
-      if i = 0 then (List.rev acc, xs)
-      else match xs with [] -> (List.rev acc, []) | x :: tl -> take (i - 1) tl (x :: acc)
-    in
-    let rec go i xs =
-      if i >= k then []
-      else
-        let sz = base + if i < extra then 1 else 0 in
-        let c, rest = take sz xs [] in
-        c :: go (i + 1) rest
-    in
-    go 0 xs
-
 let execute ?(jobs = 1) ?init ?max_steps ~(plan : plan) (prog : Ast.program)
     ~(params : (string * int) list) : Interp.store =
-  let store : Interp.store = Hashtbl.create 256 in
-  (match plan with
-  | Seq _ -> Interp.run_nest ?init ?max_steps ~store prog ~params
-  | Par { path; _ } ->
-      let on_loop p (l : Ast.loop) bindings =
-        if p <> path then `Default
-        else begin
-          let values = Interp.loop_values ~params ~bindings l in
-          let overlays =
-            Pool.map ~jobs
-              (fun slice ->
-                let overlay : Interp.store = Hashtbl.create 256 in
-                (* Reads that miss the overlay fall back to the shared
-                   base store (read-only during the fan-out), then to the
-                   caller's initializer. *)
-                let slice_init a idx =
-                  match Hashtbl.find_opt store (a, idx) with
-                  | Some v -> v
-                  | None -> ( match init with Some f -> f a idx | None -> Interp.default_init a idx)
-                in
-                Interp.run_slice ~init:slice_init ?max_steps ~store:overlay ~bindings
-                  ~values:slice l ~params;
-                overlay)
-              (chunk jobs values)
-          in
-          List.iter (fun ov -> Hashtbl.iter (fun c v -> Hashtbl.replace store c v) ov) overlays;
-          `Handled
-        end
-      in
-      Interp.run_nest ?init ?max_steps ~on_loop ~store prog ~params);
-  store
+  let fan_out =
+    match plan with
+    | Seq _ -> None
+    | Par { path; _ } ->
+        Some
+          {
+            Interp.loop = path;
+            chunks = jobs;
+            run_tasks = (fun tasks -> ignore (Pool.map ~jobs (fun task -> task ()) tasks));
+          }
+  in
+  Interp.run ?init ?max_steps ?fan_out prog ~params
 
 type report = {
   plan : plan;

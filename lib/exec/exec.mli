@@ -3,24 +3,24 @@
     The verify layer proves which loop levels carry no dependences
     ({!Inl_verify.Doall}); this module is what finally {e executes}
     them.  A plan designates the outermost provably-parallel loop; the
-    nest is walked sequentially by the interpreter up to that loop, and
-    each entry of it fans its iteration range out over the Domain pool
-    in contiguous chunks, one overlay store per worker.  The DOALL
-    race-freedom condition makes the overlays sound: a cell a worker
-    reads is either written earlier within its own slice or never
-    written by any iteration of the loop, so the fallback read from the
-    shared base store can never observe a torn or stale value.  Overlays
-    merge back in chunk order — the result is deterministic for any
-    [jobs], and {!benchmark} refuses to report timings unless the
-    parallel store is byte-identical to the sequential interpreter's.
+    interpreter's staged runner executes the nest and hands that loop's
+    entries to the Domain pool in contiguous chunks, every chunk writing
+    the one dense store in place.  The DOALL race-freedom condition makes
+    this sound: no two iterations of the loop touch a cell that either of
+    them writes, so the workers' writes are disjoint and a cell two
+    workers both read holds the same value for both.  The result is
+    deterministic for any [jobs], and {!benchmark} refuses to report
+    timings unless the parallel store is byte-identical to the
+    sequential interpreter's.
 
     Failure model (DESIGN §16): degradations and failures are typed
     [X]-codes in the {!Inl_diag.Diag.Exec} phase — [X901] no DOALL
     dimension (warning; sequential fallback), [X902] DOALL analysis
     inconclusive (warning; sequential fallback), [X903] more threads
     requested than cores (info; honesty note), [X801] parallel store
-    diverged (error; timing withheld), [X802] invalid/unbound program,
-    [X803] step limit exceeded. *)
+    diverged (error; timing withheld), [X802] invalid/unbound program
+    or a value outside the interpreter's native range, [X803] step
+    limit exceeded. *)
 
 module Ast = Inl_ir.Ast
 module Diag = Inl_diag.Diag
@@ -63,9 +63,10 @@ val execute :
     [Par] plan the designated loop's range is chunked over [jobs]
     domains ([jobs] is not capped at the core count — oversubscription
     is the caller's choice); the result is deterministic and, for a
-    correct DOALL verdict, byte-identical to {!Interp.run}.  Exceptions
-    from workers ({!Interp.Step_limit}, [Invalid_argument]) are
-    re-raised in the caller. *)
+    correct DOALL verdict, byte-identical to {!Interp.run}.  It raises
+    {!Interp.Step_limit} and [Invalid_argument] exactly when
+    {!Interp.run} does: the step count is taken in sequential order,
+    before the fan-out. *)
 
 type report = {
   plan : plan;

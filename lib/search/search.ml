@@ -295,14 +295,15 @@ let arrays_key arrays =
        (fun (a, dims) -> a ^ ":" ^ String.concat "," (List.map string_of_int dims))
        arrays)
 
-(* Array extents for the trace tier, measured by running the source once
-   and recording the largest subscript per dimension: a legal candidate
+(* Array extents for the trace tier: the largest subscript per dimension
+   over the source's accesses, from the interpreter's sizing pass
+   ({!Inl_interp.Interp.extents}): a legal candidate
    executes exactly the source's statement instances, so it touches
    exactly the same cells.  Tight extents matter — padding would change
    the line/set geometry and make the miss counts incomparable with
    traces of the untransformed variants.  Falls back to a static
-   [size + 2] slop per dimension when the source itself cannot be traced
-   (out-of-range subscripts, step limit). *)
+   [size + 2] slop per dimension when the source itself cannot be sized
+   (a value outside the native range, step limit). *)
 let arrays_of (config : config) (prog : Ast.program) ~params : (string * int list) list =
   Memo.memo arrays_memo
     (Printf.sprintf "arrays|%s|%d|%d|%s" (params_key params) config.size config.sim_max_steps
@@ -328,13 +329,15 @@ let arrays_of (config : config) (prog : Ast.program) ~params : (string * int lis
         (name, Array.to_list (Array.map (fun _ -> config.size + 2) (Hashtbl.find dims name))))
       !order
   in
-  let trace (a : Interp.access) =
-    match Hashtbl.find_opt dims a.Interp.array with
-    | None -> ()
-    | Some d -> List.iteri (fun i x -> if i < Array.length d && x > d.(i) then d.(i) <- x) a.Interp.index
-  in
-  match Interp.run ~trace ~max_steps:config.sim_max_steps prog ~params with
-  | _ -> List.rev_map (fun name -> (name, Array.to_list (Hashtbl.find dims name))) !order
+  match Interp.extents ~max_steps:config.sim_max_steps prog ~params with
+  | extents ->
+      List.iter
+        (fun (name, _, hi) ->
+          match Hashtbl.find_opt dims name with
+          | None -> ()
+          | Some d -> Array.iteri (fun i x -> if i < Array.length d && x > d.(i) then d.(i) <- x) hi)
+        extents;
+      List.rev_map (fun name -> (name, Array.to_list (Hashtbl.find dims name))) !order
   | exception (Invalid_argument _ | Interp.Step_limit _) -> fallback ()
 
 let simulate (config : config) ~arrays ~params (prog : Ast.program) : Cachesim.stats option =

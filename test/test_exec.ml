@@ -2,16 +2,15 @@
 
    - plan choice: the outermost provably-DOALL loop wins; kernels with
      no parallel dimension degrade to a typed X901 sequential plan;
-   - slice execution: running a loop's iteration range as a union of
-     sub-slices reproduces the full interpreter run exactly (the
-     identity the chunked fan-out relies on);
+   - chunked execution: running the DOALL loop's range in chunks over
+     1, 2 and 4 workers reproduces the reference walker's store exactly;
    - the differential property: for fuzz-generated programs and jobs in
      {1, 2, 4}, parallel execution under the chosen plan produces a
      store byte-identical to the sequential interpreter's — and when it
      cannot (no DOALL dimension), the sequential fallback does;
    - benchmark reports: the differential gate ran, labels, plans and
      DOALL/loop counts of six pinned (kernel, schedule) rows are stable
-     and wall-time-free, degradations carry their codes. *)
+     and wall-time-free, degradations and refusals carry their codes. *)
 
 module Ast = Inl_ir.Ast
 module Interp = Inl_interp.Interp
@@ -81,31 +80,6 @@ let test_choose_straight_line () =
   | Exec.Seq (Some d) -> Alcotest.failf "no loops is not a degradation: %s" (Diag.to_string d)
   | Exec.Par _ -> Alcotest.fail "nothing to parallelize"
 
-(* ---- slice execution: union of slices = full run ---- *)
-
-let test_run_slice_union () =
-  let prog = parse Px.cholesky_kji in
-  let params = [ ("N", 7) ] in
-  let l =
-    match prog.Ast.nest with
-    | [ Ast.Loop l ] -> l
-    | _ -> Alcotest.fail "expected a single top-level loop"
-  in
-  let values = Interp.loop_values ~params ~bindings:[] l in
-  Alcotest.(check (list int)) "K ranges over 1..N" [ 1; 2; 3; 4; 5; 6; 7 ] values;
-  let full = Interp.run prog ~params in
-  List.iter
-    (fun cut ->
-      let store : Interp.store = Hashtbl.create 64 in
-      let before = List.filteri (fun i _ -> i < cut) values in
-      let after = List.filteri (fun i _ -> i >= cut) values in
-      Interp.run_slice ~store ~bindings:[] ~values:before l ~params;
-      Interp.run_slice ~store ~bindings:[] ~values:after l ~params;
-      match Interp.store_diff full store with
-      | Ok () -> ()
-      | Error d -> Alcotest.failf "union of slices (cut %d) diverged: %s" cut d)
-    [ 0; 1; 3; 7 ]
-
 (* ---- parallel execution matches the interpreter ---- *)
 
 let exec_matches_seq prog ~params ~jobs =
@@ -163,6 +137,25 @@ let exec_rows () =
       ("ok:doall=t2", "par:t2", 1, 2) );
   ]
 
+(* ---- chunked execution against the reference walker ---- *)
+
+(* Every pinned row, with its range chunked over 1, 2 and 4 workers, must
+   reproduce the reference walker's store — chunk boundaries included,
+   and with fewer iterations than workers on the short entries. *)
+let test_chunked_matches_walker () =
+  List.iter
+    (fun (name, prog, _) ->
+      let params = List.map (fun p -> (p, 7)) prog.Ast.params in
+      let plan = Exec.choose (Exec.analyze prog) in
+      let reference = Walker.run prog ~params in
+      List.iter
+        (fun jobs ->
+          match Interp.store_diff reference (Exec.execute ~jobs ~plan prog ~params) with
+          | Ok () -> ()
+          | Error d -> Alcotest.failf "%s, jobs=%d: chunked run diverged from the walker: %s" name jobs d)
+        [ 1; 2; 4 ])
+    (exec_rows ())
+
 let test_benchmark_report () =
   List.iter
     (fun (name, prog, (label, plan, doall, loops)) ->
@@ -205,6 +198,17 @@ let test_benchmark_step_limit () =
       Alcotest.(check (list string)) "typed X803" [ "X803" ]
         (List.map (fun (d : Diag.t) -> d.Diag.code) ds)
 
+(* A subscript coefficient of 2^61 would wrap a 63-bit sum at I = 4;
+   the runner refuses it when it is built, so the benchmark reports a
+   typed X802 instead of a store of wrapped cells. *)
+let test_benchmark_out_of_range () =
+  let prog = parse "params N\ndo I = 1..N\n  S1: A(2305843009213693952*I) = A(2305843009213693952*I) + 1\nenddo\n" in
+  match Exec.benchmark ~jobs:2 ~repeat:1 prog ~params:[ ("N", 8) ] with
+  | Ok _ -> Alcotest.fail "an out-of-range coefficient must be refused"
+  | Error ds ->
+      Alcotest.(check (list string)) "typed X802" [ "X802" ]
+        (List.map (fun (d : Diag.t) -> d.Diag.code) ds)
+
 let () =
   Alcotest.run "exec"
     [
@@ -216,8 +220,8 @@ let () =
           Alcotest.test_case "straight-line -> silent sequential" `Quick
             test_choose_straight_line;
         ] );
-      ( "slices",
-        [ Alcotest.test_case "union of slices = full run" `Quick test_run_slice_union ] );
+      ( "chunks",
+        [ Alcotest.test_case "chunked execution matches the walker" `Quick test_chunked_matches_walker ] );
       ( "differential",
         [
           differential_property;
@@ -229,5 +233,6 @@ let () =
           Alcotest.test_case "report fields and label" `Quick test_benchmark_report;
           Alcotest.test_case "degradation is typed, not fatal" `Quick test_benchmark_degrades;
           Alcotest.test_case "step limit is typed" `Quick test_benchmark_step_limit;
+          Alcotest.test_case "out-of-range coefficient is typed" `Quick test_benchmark_out_of_range;
         ] );
     ]

@@ -4,7 +4,14 @@
    from scaling — plus the bounded-execution contract the fuzzing oracle
    relies on.  Each generated program is also round-tripped through the
    pretty-printer and parser, because that is how quarantined fuzz cases
-   come back from disk. *)
+   come back from disk.
+
+   The staged runner is checked differentially against the reference
+   walker (test/walker.ml) on generated programs, source and
+   recipe-transformed: stores bit for bit, access traces element by
+   element, extents against the hull of the trace, where a random step
+   allowance runs out, and the refusal of a non-exact [Let].  An allocation guard keeps per-access allocation
+   from coming back. *)
 
 module Interp = Inl_interp.Interp
 module Ast = Inl_ir.Ast
@@ -13,6 +20,10 @@ module Parser = Inl_ir.Parser
 module Mat = Inl_linalg.Mat
 module Px = Inl_kernels.Paper_examples
 module Mpz = Inl_num.Mpz
+module Meval = Inl_ir.Meval
+module Linexpr = Inl_presburger.Linexpr
+module Gen = Inl_fuzz.Gen
+module Tf = Inl_fuzz.Tf
 
 let sizes = [ 1; 2; 3; 5 ]
 
@@ -146,6 +157,158 @@ let test_step_limit () =
   | _ -> Alcotest.fail "expected Step_limit from equivalent"
   | exception Interp.Step_limit _ -> ()
 
+(* ---- the staged runner against the reference walker ---- *)
+
+type 'a outcome = Done of 'a | Limit of int | Refused
+
+let outcome f =
+  match f () with
+  | v -> Done v
+  | exception Interp.Step_limit n -> Limit n
+  | exception Invalid_argument _ -> Refused
+
+let describe = function Done _ -> "done" | Limit n -> Printf.sprintf "step limit %d" n | Refused -> "refused"
+
+(* The accesses a run makes before it ends, however it ends. *)
+let walker_trace ?max_steps prog ~params =
+  let acc = ref [] in
+  let trace (a : Walker.access) = acc := (a.Walker.array, a.Walker.index, a.Walker.kind) :: !acc in
+  let o = outcome (fun () -> ignore (Walker.run ~trace ?max_steps prog ~params)) in
+  (o, List.rev !acc)
+
+let runner_trace ?max_steps prog ~params =
+  let acc = ref [] in
+  let hook name idx kind = acc := (name, Array.to_list idx, kind) :: !acc in
+  let o = outcome (fun () -> Interp.trace ?max_steps hook prog ~params) in
+  (o, List.rev !acc)
+
+let agree name prog ~params ~max_steps =
+  let fail fmt = QCheck2.Test.fail_reportf ("%s: " ^^ fmt) name in
+  (* stores, bit for bit *)
+  (match
+     ( outcome (fun () -> Walker.run ?max_steps prog ~params),
+       outcome (fun () -> Interp.run ?max_steps prog ~params) )
+   with
+  | Done w, Done r -> (
+      match Interp.store_diff w r with Ok () -> () | Error d -> fail "stores differ: %s" d)
+  | w, r -> if describe w <> describe r then fail "walker %s, runner %s" (describe w) (describe r));
+  (* traces, element by element, up to wherever the run stops *)
+  let wo, wt = walker_trace ?max_steps prog ~params and ro, rt = runner_trace ?max_steps prog ~params in
+  if describe wo <> describe ro then fail "trace: walker %s, runner %s" (describe wo) (describe ro);
+  if wt <> rt then
+    fail "traces differ (%d vs %d accesses)" (List.length wt) (List.length rt);
+  (* extents: the per-dimension hull of the walker's trace *)
+  (match (wo, outcome (fun () -> Interp.extents ?max_steps prog ~params)) with
+  | Done (), Done got ->
+      let hull = Hashtbl.create 8 in
+      List.iter
+        (fun (name, idx, _) ->
+          let key = (name, List.length idx) in
+          let lo, hi = Option.value (Hashtbl.find_opt hull key) ~default:(idx, idx) in
+          Hashtbl.replace hull key (List.map2 min lo idx, List.map2 max hi idx))
+        wt;
+      let expected =
+        Hashtbl.fold (fun (name, _) (lo, hi) acc -> (name, lo, hi) :: acc) hull []
+        |> List.sort (fun (a, lo, _) (b, lo', _) -> compare (a, List.length lo) (b, List.length lo'))
+      in
+      let got = List.map (fun (name, lo, hi) -> (name, Array.to_list lo, Array.to_list hi)) got in
+      if got <> expected then fail "extents differ from the hull of the walker's trace"
+  | w, r -> if describe w <> describe r then fail "extents: walker %s, runner %s" (describe w) (describe r));
+  (* statement-instance counts *)
+  if max_steps = None then begin
+    let expected = outcome (fun () -> List.length (Meval.enumerate prog ~params)) in
+    match outcome (fun () -> Interp.operation_count prog ~params) with
+    | got when got = expected -> ()
+    | Done got -> fail "operation_count %d, enumerate %s" got (describe expected)
+    | got -> fail "operation_count %s, enumerate %s" (describe got) (describe expected)
+  end;
+  true
+
+let transformed prog tf =
+  let ctx = Inl.analyze prog in
+  match Tf.materialize ctx tf with
+  | Ok m -> Result.to_option (Inl.transform ctx m)
+  | Error _ -> None
+
+(* Wraps the nest in [do zz = 0..2 / let zq = zz/2]: the body runs once,
+   then the quotient of 1 by 2 is not exact. *)
+let inexact_let (prog : Ast.program) =
+  let zz = Linexpr.var "zz" in
+  let body = [ Ast.Let ("zq", { Ast.num = zz; den = Mpz.of_int 2 }, prog.Ast.nest) ] in
+  { prog with Ast.nest = [ Ast.simple_loop "zz" (Ast.bterm_int 0) (Ast.bterm_int 2) body ] }
+
+let walker_prop (seed, index, n, steps) =
+  let prog, tf = Gen.case ~seed ~index in
+  let params p = List.map (fun x -> (x, n)) p.Ast.params in
+  let cases =
+    ("source", prog) :: ("inexact let", inexact_let prog)
+    :: (match transformed prog tf with Some p -> [ ("transformed", p) ] | None -> [])
+  in
+  List.for_all
+    (fun (name, p) ->
+      agree name p ~params:(params p) ~max_steps:None
+      && agree (name ^ ", bounded") p ~params:(params p) ~max_steps:(Some steps))
+    cases
+
+let walker_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"runner agrees with the reference walker" ~count:60
+       QCheck2.Gen.(quad (int_bound 9) (int_bound 99) (int_range 1 5) (int_bound 400))
+       walker_prop)
+
+(* Bound terms with denominators, over negative and positive numerators,
+   under natural and covering combiners: the rounding generated code
+   relies on, which random recipes seldom produce. *)
+let rounding_src =
+  "params N\n\
+   do I = max(ceildiv(N + 1, 2), 1)..min(floordiv(3*N - 1, 2), N + 3)\n\
+  \  do J = min(ceildiv(I - 5, 3), 0)..max(floordiv(I, 2), 1)\n\
+  \    S1: A(I,J) = A(I-1,J) + J\n\
+  \  enddo\n\
+   enddo\n"
+
+let test_rounding () =
+  let prog = Parser.parse_exn rounding_src in
+  List.iter
+    (fun n ->
+      ignore (agree (Printf.sprintf "N=%d" n) prog ~params:[ ("N", n) ] ~max_steps:None))
+    [ 1; 2; 3; 4; 7; 8 ]
+
+let test_inexact_let_refused () =
+  let prog = inexact_let (Parser.parse_exn "params N\ndo I = 1..N\n  S1: A(I) = A(I) + 1\nenddo\n") in
+  match Interp.run prog ~params:[ ("N", 3) ] with
+  | _ -> Alcotest.fail "a non-exact let must be refused"
+  | exception Invalid_argument m ->
+      Alcotest.(check string) "message" "Interp.run: let zq: 1 not divisible by 2" m
+
+(* ---- allocation guard ----
+
+   Minor-heap words per statement instance of one untraced run of a 2-D
+   stencil (three reads and a write per instance) at N=64 on one domain.
+   What is left is per cell, not per access: the public store's keys
+   and entries, and the index list each first read hands to [init] —
+   34.6 words at the time of writing; the bound is twice that.  The
+   reference walker allocates 418.6. *)
+let words_per_instance_bound = 70.
+
+let test_allocation_guard () =
+  let prog =
+    Parser.parse_exn
+      "params N\n\
+       do I = 1..N\n\
+      \  do J = 1..N\n\
+      \    S1: A(I,J) = A(I-1,J) + A(I,J-1) + A(I,J)\n\
+      \  enddo\n\
+       enddo\n"
+  in
+  let params = [ ("N", 64) ] in
+  let instances = Interp.operation_count prog ~params in
+  let before = Gc.minor_words () in
+  ignore (Interp.run prog ~params);
+  let words = (Gc.minor_words () -. before) /. float_of_int instances in
+  if words > words_per_instance_bound then
+    Alcotest.failf "%.1f minor words per statement instance (bound %.0f)" words words_per_instance_bound
+
 let () =
   Alcotest.run "interp"
     [
@@ -158,4 +321,11 @@ let () =
           Alcotest.test_case "scaling: strides and lets" `Quick test_scale_strided;
         ] );
       ("bounded-execution", [ Alcotest.test_case "step limit" `Quick test_step_limit ]);
+      ( "walker",
+        [
+          walker_property;
+          Alcotest.test_case "rounded and covering bounds" `Quick test_rounding;
+          Alcotest.test_case "non-exact let refused" `Quick test_inexact_let_refused;
+        ] );
+      ("allocation", [ Alcotest.test_case "minor words per instance" `Quick test_allocation_guard ]);
     ]

@@ -140,12 +140,12 @@ let test_cache_lru () =
 
 let test_address_map () =
   let m = Cachesim.Address_map.create [ ("A", [ 3; 3 ]); ("B", [ 7 ]) ] in
-  Alcotest.(check int) "A(0,0)" 0 (Cachesim.Address_map.address m "A" [ 0; 0 ]);
-  Alcotest.(check int) "A(1,0)" 32 (Cachesim.Address_map.address m "A" [ 1; 0 ]);
-  Alcotest.(check int) "B base after A" (16 * 8) (Cachesim.Address_map.address m "B" [ 0 ]);
+  Alcotest.(check int) "A(0,0)" 0 (Cachesim.Address_map.address m "A" [| 0; 0 |]);
+  Alcotest.(check int) "A(1,0)" 32 (Cachesim.Address_map.address m "A" [| 1; 0 |]);
+  Alcotest.(check int) "B base after A" (16 * 8) (Cachesim.Address_map.address m "B" [| 0 |]);
   Alcotest.check_raises "out of range"
     (Invalid_argument "Address_map: A subscript 4 out of [0,3]") (fun () ->
-      ignore (Cachesim.Address_map.address m "A" [ 4; 0 ]))
+      ignore (Cachesim.Address_map.address m "A" [| 4; 0 |]))
 
 let test_simulate_locality () =
   (* row-major traversal has far fewer misses than column-major *)
